@@ -206,7 +206,7 @@ void FullyDefinedEvaluator::SettleFromRule(const Rule& rule) {
     // least-model value) and look for a fully settled body instance.
     Binding binding;
     bool ok = true;
-    const Tuple& key = rel->key_at(row);
+    const datalog::KeyRef key = rel->key_at(row);
     for (int i = 0; i < head->key_arity() && ok; ++i) {
       const Term& t = rule.head.args[i];
       if (t.is_const()) {
@@ -415,8 +415,8 @@ void FullyDefinedEvaluator::MatchAtom(const Atom& atom, Binding* binding,
 
   if (rel == nullptr) return;
   for (uint32_t row = 0; row < rel->size(); ++row) {
-    match_row(rel->key_at(row), rel->cost_at(row),
-              RowSettled(pred, rel->key_at(row)));
+    const Tuple key = rel->key_at(row);
+    match_row(key, rel->cost_at(row), RowSettled(pred, key));
   }
 }
 

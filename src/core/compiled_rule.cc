@@ -85,6 +85,46 @@ bool AtomFullyBound(const CompiledAtom& atom, const std::set<int>& bound) {
   return true;
 }
 
+/// Appends `e`'s nodes to `out` in post-order; returns the index of its root.
+int CompileExprNodes(const Expr& e, SlotMap* slots, CompiledExpr* out) {
+  CompiledExpr::Node node;
+  node.kind = e.kind;
+  switch (e.kind) {
+    case Expr::Kind::kConst:
+      node.constant = e.constant;
+      break;
+    case Expr::Kind::kVar:
+      node.slot = slots->SlotOf(e.var);
+      break;
+    default:
+      node.lhs = CompileExprNodes(*e.lhs, slots, out);
+      node.rhs = CompileExprNodes(*e.rhs, slots, out);
+      break;
+  }
+  out->nodes.push_back(std::move(node));
+  return out->root();
+}
+
+CompiledExpr CompileExpr(const Expr& e, SlotMap* slots) {
+  CompiledExpr out;
+  CompileExprNodes(e, slots, &out);
+  return out;
+}
+
+/// A compiled built-in: a test when `assign_slot` < 0, otherwise the
+/// assignment of `assign_slot` from `value_side`.
+CompiledBuiltin CompileBuiltin(const datalog::BuiltinSubgoal& b, SlotMap* slots,
+                               int assign_slot = -1,
+                               const Expr* value_side = nullptr) {
+  CompiledBuiltin out;
+  out.op = b.op;
+  out.lhs = CompileExpr(*b.lhs, slots);
+  out.rhs = CompileExpr(*b.rhs, slots);
+  out.assign_slot = assign_slot;
+  if (value_side != nullptr) out.value_expr = CompileExpr(*value_side, slots);
+  return out;
+}
+
 bool ExprBound(const Expr& e, SlotMap* slots, const std::set<int>& bound) {
   std::vector<std::string> vars;
   e.CollectVars(&vars);
@@ -223,7 +263,7 @@ StatusOr<CompiledSubgoal> CompileStep(const Subgoal& sg, SlotMap* slots,
       step.kind = CompiledSubgoal::Kind::kBuiltin;
       if (ExprBound(*b.lhs, slots, *bound) &&
           ExprBound(*b.rhs, slots, *bound)) {
-        step.builtin = {b.op, b.lhs.get(), b.rhs.get(), -1, nullptr};
+        step.builtin = CompileBuiltin(b, slots);
         return step;
       }
       // Assignment form; try lhs as the defined variable first, like the
@@ -234,7 +274,7 @@ StatusOr<CompiledSubgoal> CompileStep(const Subgoal& sg, SlotMap* slots,
         int s = slots->SlotOf(var_side.var);
         if (bound->count(s)) return false;
         if (!ExprBound(expr_side, slots, *bound)) return false;
-        step.builtin = {b.op, b.lhs.get(), b.rhs.get(), s, &expr_side};
+        step.builtin = CompileBuiltin(b, slots, s, &expr_side);
         bound->insert(s);
         return true;
       };
@@ -313,7 +353,7 @@ StatusOr<Schedule> ScheduleBody(const Rule& rule, SlotMap* slots,
       const auto& b = body[i].builtin;
       if (ExprBound(*b.lhs, slots, bound) && ExprBound(*b.rhs, slots, bound)) {
         step.kind = CompiledSubgoal::Kind::kBuiltin;
-        step.builtin = {b.op, b.lhs.get(), b.rhs.get(), -1, nullptr};
+        step.builtin = CompileBuiltin(b, slots);
         pick = static_cast<int>(i);
       } else if (b.op == CmpOp::kEq) {
         auto try_assign = [&](const Expr& var_side, const Expr& expr_side) {
@@ -323,7 +363,7 @@ StatusOr<Schedule> ScheduleBody(const Rule& rule, SlotMap* slots,
           if (bound.count(s)) return;
           if (!ExprBound(expr_side, slots, bound)) return;
           step.kind = CompiledSubgoal::Kind::kBuiltin;
-          step.builtin = {b.op, b.lhs.get(), b.rhs.get(), s, &expr_side};
+          step.builtin = CompileBuiltin(b, slots, s, &expr_side);
           pick = static_cast<int>(i);
           bound.insert(s);
         };
@@ -495,9 +535,6 @@ StatusOr<CompiledRule> CompileRule(const Rule& rule,
 
   out.num_slots = static_cast<int>(slots.names().size());
   out.slot_names = slots.names();
-  for (int s = 0; s < out.num_slots; ++s) {
-    out.var_slots[out.slot_names[s]] = s;
-  }
   return out;
 }
 

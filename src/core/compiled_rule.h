@@ -72,14 +72,30 @@ struct CompiledAtom {
   std::vector<int> scan_positions;
 };
 
+/// A built-in arithmetic expression with its variables resolved to slots.
+/// Nodes are stored in post-order (children before parents), so the root is
+/// the last node and the whole expression copies as one vector.
+struct CompiledExpr {
+  struct Node {
+    datalog::Expr::Kind kind = datalog::Expr::Kind::kConst;
+    Value constant;  ///< kConst
+    int slot = -1;   ///< kVar
+    int lhs = -1;    ///< binary nodes: indexes of the operand nodes
+    int rhs = -1;
+  };
+  std::vector<Node> nodes;
+
+  int root() const { return static_cast<int>(nodes.size()) - 1; }
+};
+
 /// A built-in comparison, possibly acting as an assignment of one slot.
 struct CompiledBuiltin {
   datalog::CmpOp op = datalog::CmpOp::kEq;
-  const datalog::Expr* lhs = nullptr;  ///< owned by the source Rule
-  const datalog::Expr* rhs = nullptr;
+  CompiledExpr lhs;
+  CompiledExpr rhs;
   /// If >= 0, this equality defines `assign_slot` from `value_expr`.
   int assign_slot = -1;
-  const datalog::Expr* value_expr = nullptr;
+  CompiledExpr value_expr;
 };
 
 /// An aggregate subgoal compiled for execution: the inner conjunction is
@@ -139,9 +155,8 @@ struct CompiledRule {
   /// Index of the source rule within Program::rules() (provenance).
   int rule_index = -1;
   int num_slots = 0;
+  /// Variable name of each slot (slot ids index this vector).
   std::vector<std::string> slot_names;
-  /// Variable-name -> slot map (built-in expressions refer to names).
-  std::map<std::string, int> var_slots;
 
   const PredicateInfo* head_pred = nullptr;
   std::vector<SlotTerm> head_key;

@@ -138,10 +138,10 @@ int64_t BoundedChainRoundCap(const Program& program,
                              const Database& db) {
   std::set<Value> values;  // active domain: keys, costs, rule constants
   for (const auto& [_, rel] : db.relations()) {
-    rel->ForEach([&](const Tuple& key, const Value& cost) {
-      for (const Value& v : key) values.insert(v);
-      if (rel->pred()->has_cost) values.insert(cost);
-    });
+    for (size_t row = 0; row < rel->size(); ++row) {
+      for (const Value& v : rel->key_at(row)) values.insert(v);
+      if (rel->pred()->has_cost) values.insert(rel->cost_at(row));
+    }
   }
   for (int ri : component.rule_indices) {
     CollectRuleConstants(program.rules()[ri], &values);
@@ -963,6 +963,16 @@ StatusOr<EvalStats> Engine::Update(EvalResult* result,
   ResourceGuard guard(limits);
   Provenance* prov =
       options_.track_provenance ? &result->provenance : nullptr;
+  const auto t0 = std::chrono::steady_clock::now();
+  // Every return of `stats` goes through here, so each carries its wall time
+  // (and the cumulative result->stats sums it, as for batch runs).
+  auto finish = [&]() -> EvalStats {
+    stats.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    result->stats.Accumulate(stats);
+    return stats;
+  };
 
   auto guard_increase = [&](const PredicateInfo* pred,
                             Relation::MergeResult mr) -> Status {
@@ -1012,8 +1022,7 @@ StatusOr<EvalStats> Engine::Update(EvalResult* result,
     result->completeness = Completeness::kUnderApproximation;
     result->limit_tripped = guard.tripped();
     result->tripped_component = component_index;
-    result->stats.Accumulate(stats);
-    return stats;
+    return finish();
   };
 
   // Plan join orders against the post-insert database (incremental deltas
@@ -1042,8 +1051,7 @@ StatusOr<EvalStats> Engine::Update(EvalResult* result,
     while (DeltaSize(delta) > 0) {
       if (stats.iterations >= options_.max_iterations) {
         stats.reached_fixpoint = false;
-        result->stats.Accumulate(stats);
-        return stats;
+        return finish();
       }
       if (guard.ChargeRound(++component_rounds) != LimitKind::kNone) {
         return degrade(component.index);
@@ -1097,8 +1105,7 @@ StatusOr<EvalStats> Engine::Update(EvalResult* result,
     }
   }
   stats.subgoal_evals = exec.subgoal_evals();
-  result->stats.Accumulate(stats);
-  return stats;
+  return finish();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 
 #include "lattice/cost_domain.h"
 
@@ -12,6 +13,118 @@ namespace core {
 using datalog::CmpOp;
 using datalog::Expr;
 using lattice::CostDomain;
+
+// ---------------------------------------------------------------------------
+// Atom enumeration
+// ---------------------------------------------------------------------------
+
+template <typename Cont>
+void RuleExecutor::EnumAtom(const CompiledAtom& atom, Binding* binding,
+                            const Cont& cont) {
+  const Relation* rel = db_->Find(atom.pred);
+  if (rel == nullptr && !atom.pred->has_default) return;
+  if (depth_ == probes_.size()) probes_.push_back(std::make_unique<Probe>());
+  Probe& probe = *probes_[depth_++];
+
+  // The ground key positions, in order: the scan pattern. It is almost
+  // always the compiled one; it differs when a slot the compiler could not
+  // assume bound is bound at run time (an "=r" aggregate's grouping slots,
+  // once its groups are enumerated).
+  const int arity = static_cast<int>(atom.key_args.size());
+  const std::vector<int>& compiled = atom.scan_positions;
+  probe.values.clear();
+  bool is_compiled = true;
+  for (int i = 0; i < arity; ++i) {
+    const SlotTerm& t = atom.key_args[i];
+    if (t.is_slot && !binding->IsBound(t.slot)) continue;
+    size_t k = probe.values.size();
+    is_compiled = is_compiled && k < compiled.size() && compiled[k] == i;
+    probe.values.push_back(Resolve(t, *binding));
+  }
+  is_compiled = is_compiled && probe.values.size() == compiled.size();
+
+  if (atom.pred->has_default) {
+    // Keys are fully bound (the scheduler guarantees it); the value is the
+    // stored core value or the lattice bottom.
+    assert(static_cast<int>(probe.values.size()) == arity);
+    const Value* stored = rel != nullptr ? rel->Find(probe.values) : nullptr;
+    Value cost = stored != nullptr ? *stored : atom.pred->domain->Bottom();
+    if (!atom.cost_arg.has_value()) {
+      cont();
+    } else if (atom.cost_arg->is_slot &&
+               !binding->IsBound(atom.cost_arg->slot)) {
+      binding->Set(atom.cost_arg->slot, std::move(cost));
+      cont();
+      binding->Clear(atom.cost_arg->slot);
+    } else {
+      const Value& expected = Resolve(*atom.cost_arg, *binding);
+      if (atom.pred->domain->Contains(expected) &&
+          atom.pred->domain->Equal(atom.pred->domain->Normalize(expected),
+                                   cost)) {
+        cont();
+      }
+    }
+    --depth_;
+    return;
+  }
+
+  const std::vector<int>* positions = &compiled;
+  if (!is_compiled) {
+    probe.positions.clear();
+    for (int i = 0; i < arity; ++i) {
+      const SlotTerm& t = atom.key_args[i];
+      if (!t.is_slot || binding->IsBound(t.slot)) probe.positions.push_back(i);
+    }
+    positions = &probe.positions;
+  }
+
+  rel->ForEachMatchingRow(*positions, probe.values.data(), [&](size_t row) {
+    // Match and bind; track which slots this row bound so we can undo.
+    KeyRef key = rel->key_at(row);
+    probe.trail.clear();
+    bool ok = true;
+    for (int i = 0; i < arity && ok; ++i) {
+      const SlotTerm& t = atom.key_args[i];
+      if (!t.is_slot) {
+        ok = t.constant == key[i];
+      } else if (binding->IsBound(t.slot)) {
+        ok = binding->Get(t.slot) == key[i];
+      } else {
+        binding->Set(t.slot, key[i]);
+        probe.trail.push_back(t.slot);
+      }
+    }
+    if (ok && atom.cost_arg.has_value()) {
+      const SlotTerm& ct = *atom.cost_arg;
+      const Value& cost = rel->cost_at(row);
+      if (ct.is_slot && !binding->IsBound(ct.slot)) {
+        binding->Set(ct.slot, cost);
+        probe.trail.push_back(ct.slot);
+      } else {
+        const Value& expected = Resolve(ct, *binding);
+        ok = atom.pred->domain->Contains(expected) &&
+             atom.pred->domain->Equal(atom.pred->domain->Normalize(expected),
+                                      cost);
+      }
+    }
+    if (ok) cont();
+    for (int s : probe.trail) binding->Clear(s);
+  });
+  --depth_;
+}
+
+template <typename Cont>
+void RuleExecutor::EnumAtomList(const std::vector<CompiledAtom>& atoms,
+                                size_t idx, Binding* binding,
+                                const Cont& cont) {
+  if (stopped_) return;
+  if (idx == atoms.size()) {
+    cont();
+    return;
+  }
+  EnumAtom(atoms[idx], binding,
+           [&]() { EnumAtomList(atoms, idx + 1, binding, cont); });
+}
 
 // ---------------------------------------------------------------------------
 // Entry points
@@ -28,7 +141,7 @@ void RuleExecutor::RunBase(const CompiledRule& rule,
 
 void RuleExecutor::RunDriver(const CompiledRule& rule,
                              const DriverVariant& driver,
-                             const Tuple& delta_key, const Value& delta_cost,
+                             KeyRef delta_key, const Value& delta_cost,
                              std::vector<Derivation>* out) {
   if (stopped_) return;
   current_rule_ = &rule;
@@ -107,15 +220,16 @@ void RuleExecutor::RunSchedule(const CompiledRule& rule,
     case CompiledSubgoal::Kind::kBuiltin: {
       const CompiledBuiltin& b = step.builtin;
       if (b.assign_slot >= 0 && !binding->IsBound(b.assign_slot)) {
-        std::optional<Value> v = EvalExpr(*b.value_expr, rule, *binding);
+        std::optional<Value> v =
+            EvalExpr(b.value_expr, b.value_expr.root(), *binding);
         if (!v.has_value()) return;
         binding->Set(b.assign_slot, std::move(*v));
         RunSchedule(rule, schedule, idx + 1, binding, out);
         binding->Clear(b.assign_slot);
         return;
       }
-      std::optional<Value> l = EvalExpr(*b.lhs, rule, *binding);
-      std::optional<Value> r = EvalExpr(*b.rhs, rule, *binding);
+      std::optional<Value> l = EvalExpr(b.lhs, b.lhs.root(), *binding);
+      std::optional<Value> r = EvalExpr(b.rhs, b.rhs.root(), *binding);
       if (!l.has_value() || !r.has_value()) return;
       if (EvalCompare(b.op, *l, *r)) {
         RunSchedule(rule, schedule, idx + 1, binding, out);
@@ -200,109 +314,10 @@ void RuleExecutor::EmitHead(const CompiledRule& rule, const Binding& binding,
   out->push_back(std::move(d));
 }
 
-// ---------------------------------------------------------------------------
-// Atom enumeration
-// ---------------------------------------------------------------------------
-
-void RuleExecutor::EnumAtom(const CompiledAtom& atom, Binding* binding,
-                            const std::function<void()>& cont) {
-  const Relation* rel = db_->Find(atom.pred);
-
-  if (atom.pred->has_default) {
-    // Keys are fully bound (the scheduler guarantees it); the value is the
-    // stored core value or the lattice bottom.
-    Tuple key;
-    key.reserve(atom.key_args.size());
-    for (const SlotTerm& t : atom.key_args) {
-      assert(!t.is_slot || binding->IsBound(t.slot));
-      key.push_back(Resolve(t, *binding));
-    }
-    const Value* stored = rel != nullptr ? rel->Find(key) : nullptr;
-    Value cost = stored != nullptr ? *stored : atom.pred->domain->Bottom();
-    if (!atom.cost_arg.has_value()) {
-      cont();
-      return;
-    }
-    const SlotTerm& ct = *atom.cost_arg;
-    if (ct.is_slot && !binding->IsBound(ct.slot)) {
-      binding->Set(ct.slot, std::move(cost));
-      cont();
-      binding->Clear(ct.slot);
-    } else {
-      const Value& expected = Resolve(ct, *binding);
-      if (atom.pred->domain->Contains(expected) &&
-          atom.pred->domain->Equal(atom.pred->domain->Normalize(expected),
-                                   cost)) {
-        cont();
-      }
-    }
-    return;
-  }
-
-  if (rel == nullptr) return;
-
-  // Dynamic scan pattern: every key position whose term is currently ground.
-  std::vector<int> positions;
-  Tuple values;
-  for (int i = 0; i < static_cast<int>(atom.key_args.size()); ++i) {
-    const SlotTerm& t = atom.key_args[i];
-    if (!t.is_slot) {
-      positions.push_back(i);
-      values.push_back(t.constant);
-    } else if (binding->IsBound(t.slot)) {
-      positions.push_back(i);
-      values.push_back(binding->Get(t.slot));
-    }
-  }
-
-  rel->Scan(positions, values, [&](const Tuple& key, const Value& cost) {
-    // Match and bind; track which slots this row bound so we can undo.
-    std::vector<int> trail;
-    bool ok = true;
-    for (int i = 0; i < static_cast<int>(atom.key_args.size()) && ok; ++i) {
-      const SlotTerm& t = atom.key_args[i];
-      if (!t.is_slot) {
-        ok = t.constant == key[i];
-      } else if (binding->IsBound(t.slot)) {
-        ok = binding->Get(t.slot) == key[i];
-      } else {
-        binding->Set(t.slot, key[i]);
-        trail.push_back(t.slot);
-      }
-    }
-    if (ok && atom.cost_arg.has_value()) {
-      const SlotTerm& ct = *atom.cost_arg;
-      if (ct.is_slot && !binding->IsBound(ct.slot)) {
-        binding->Set(ct.slot, cost);
-        trail.push_back(ct.slot);
-      } else {
-        const Value& expected = Resolve(ct, *binding);
-        ok = atom.pred->domain->Contains(expected) &&
-             atom.pred->domain->Equal(atom.pred->domain->Normalize(expected),
-                                      cost);
-      }
-    }
-    if (ok) cont();
-    for (int s : trail) binding->Clear(s);
-  });
-}
-
-void RuleExecutor::EnumAtomList(const std::vector<CompiledAtom>& atoms,
-                                size_t idx, Binding* binding,
-                                const std::function<void()>& cont) {
-  if (stopped_) return;
-  if (idx == atoms.size()) {
-    cont();
-    return;
-  }
-  EnumAtom(atoms[idx], binding,
-           [&]() { EnumAtomList(atoms, idx + 1, binding, cont); });
-}
-
 bool RuleExecutor::NegationHolds(const CompiledAtom& atom,
                                  const Binding& binding) {
-  Tuple key;
-  key.reserve(atom.key_args.size());
+  Tuple& key = lookup_key_;
+  key.clear();
   for (const SlotTerm& t : atom.key_args) {
     assert(!t.is_slot || binding.IsBound(t.slot));
     key.push_back(Resolve(t, binding));
@@ -335,7 +350,8 @@ bool RuleExecutor::NegationHolds(const CompiledAtom& atom,
 bool RuleExecutor::EvalAggregateInto(const CompiledAggregate& agg,
                                      Binding* binding,
                                      std::optional<Value>* result) {
-  std::vector<Value> multiset;
+  std::vector<Value>& multiset = multiset_;
+  multiset.clear();
   EnumAtomList(agg.inner, 0, binding, [&]() {
     if (agg.multiset_slot >= 0) {
       multiset.push_back(binding->Get(agg.multiset_slot));
@@ -357,7 +373,7 @@ bool RuleExecutor::EvalAggregateInto(const CompiledAggregate& agg,
 // Seeds, expressions, comparisons
 // ---------------------------------------------------------------------------
 
-bool RuleExecutor::MatchSeed(const CompiledAtom& seed, const Tuple& delta_key,
+bool RuleExecutor::MatchSeed(const CompiledAtom& seed, KeyRef delta_key,
                              const Value& delta_cost, Binding* binding) {
   for (int i = 0; i < static_cast<int>(seed.key_args.size()); ++i) {
     const SlotTerm& t = seed.key_args[i];
@@ -385,28 +401,24 @@ bool RuleExecutor::MatchSeed(const CompiledAtom& seed, const Tuple& delta_key,
   return true;
 }
 
-std::optional<Value> RuleExecutor::EvalExpr(const Expr& e,
-                                            const CompiledRule& rule,
+std::optional<Value> RuleExecutor::EvalExpr(const CompiledExpr& e, int node,
                                             const Binding& binding) {
-  switch (e.kind) {
+  const CompiledExpr::Node& n = e.nodes[node];
+  switch (n.kind) {
     case Expr::Kind::kConst:
-      return e.constant;
-    case Expr::Kind::kVar: {
-      auto it = rule.var_slots.find(e.var);
-      if (it == rule.var_slots.end() || !binding.IsBound(it->second)) {
-        return std::nullopt;
-      }
-      return binding.Get(it->second);
-    }
+      return n.constant;
+    case Expr::Kind::kVar:
+      if (!binding.IsBound(n.slot)) return std::nullopt;
+      return binding.Get(n.slot);
     default: {
-      std::optional<Value> l = EvalExpr(*e.lhs, rule, binding);
-      std::optional<Value> r = EvalExpr(*e.rhs, rule, binding);
+      std::optional<Value> l = EvalExpr(e, n.lhs, binding);
+      std::optional<Value> r = EvalExpr(e, n.rhs, binding);
       if (!l.has_value() || !r.has_value()) return std::nullopt;
       bool lnum = l->is_numeric() || l->is_bool();
       bool rnum = r->is_numeric() || r->is_bool();
       if (!lnum || !rnum) return std::nullopt;
       bool as_int = l->is_int() && r->is_int();
-      switch (e.kind) {
+      switch (n.kind) {
         case Expr::Kind::kAdd:
           return as_int ? Value::Int(l->int_value() + r->int_value())
                         : Value::Real(l->AsDouble() + r->AsDouble());
@@ -431,6 +443,7 @@ std::optional<Value> RuleExecutor::EvalExpr(const Expr& e,
     }
   }
 }
+
 
 bool RuleExecutor::EvalCompare(CmpOp op, const Value& a, const Value& b) {
   bool anum = a.is_numeric() || a.is_bool();

@@ -1,7 +1,7 @@
 #ifndef MAD_CORE_EXECUTOR_H_
 #define MAD_CORE_EXECUTOR_H_
 
-#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -13,6 +13,7 @@ namespace mad {
 namespace core {
 
 using datalog::Database;
+using datalog::KeyRef;
 using datalog::Relation;
 using datalog::Tuple;
 
@@ -70,7 +71,7 @@ class RuleExecutor {
   /// Semi-naive: derive everything the changed row (delta_key, delta_cost)
   /// of `driver.delta_pred` can newly contribute through this occurrence.
   void RunDriver(const CompiledRule& rule, const DriverVariant& driver,
-                 const Tuple& delta_key, const Value& delta_cost,
+                 KeyRef delta_key, const Value& delta_cost,
                  std::vector<Derivation>* out);
 
   /// Number of subgoal evaluations performed (for EvalStats).
@@ -100,24 +101,24 @@ class RuleExecutor {
   void EmitHead(const CompiledRule& rule, const Binding& binding,
                 std::vector<Derivation>* out);
 
-  /// Enumerates rows of `atom` compatible with `binding`, invoking `cont`
+  /// Enumerates rows of `atom` compatible with `binding`, invoking `cont()`
   /// with the newly bound slots set; restores the binding afterwards.
-  void EnumAtom(const CompiledAtom& atom, Binding* binding,
-                const std::function<void()>& cont);
+  template <typename Cont>
+  void EnumAtom(const CompiledAtom& atom, Binding* binding, const Cont& cont);
   /// Enumerates solutions of a scheduled atom list starting at `idx`.
+  template <typename Cont>
   void EnumAtomList(const std::vector<CompiledAtom>& atoms, size_t idx,
-                    Binding* binding, const std::function<void()>& cont);
+                    Binding* binding, const Cont& cont);
 
   bool NegationHolds(const CompiledAtom& atom, const Binding& binding);
   bool EvalAggregateInto(const CompiledAggregate& agg, Binding* binding,
                          std::optional<Value>* result);
 
   /// Binds the delta row against the seed occurrence; false on mismatch.
-  bool MatchSeed(const CompiledAtom& seed, const Tuple& delta_key,
+  bool MatchSeed(const CompiledAtom& seed, KeyRef delta_key,
                  const Value& delta_cost, Binding* binding);
 
-  std::optional<Value> EvalExpr(const datalog::Expr& e,
-                                const CompiledRule& rule,
+  std::optional<Value> EvalExpr(const CompiledExpr& e, int node,
                                 const Binding& binding);
   bool EvalCompare(datalog::CmpOp op, const Value& a, const Value& b);
 
@@ -133,6 +134,19 @@ class RuleExecutor {
   /// single-threaded (the parallel evaluator gives each pool participant its
   /// own executor), so one scratch binding suffices.
   Binding scratch_;
+  /// Per-depth buffers of EnumAtom (the bound key values, the dynamic scan
+  /// pattern, the slots a row bound), reused across calls so a probe never
+  /// allocates once warm. Heap-allocated so a deeper level growing the
+  /// vector leaves the shallower levels' references valid.
+  struct Probe {
+    Tuple values;
+    std::vector<int> positions;
+    std::vector<int> trail;
+  };
+  std::vector<std::unique_ptr<Probe>> probes_;
+  size_t depth_ = 0;
+  Tuple lookup_key_;             ///< NegationHolds' key (not re-entrant)
+  std::vector<Value> multiset_;  ///< EvalAggregateInto's multiset
   int64_t subgoal_evals_ = 0;
   ResourceGuard* guard_ = nullptr;
   bool stopped_ = false;

@@ -17,125 +17,252 @@ namespace datalog {
 
 namespace {
 
-/// Approximate heap footprint of one Value (16-byte tagged union plus any
-/// shared set payload; the payload is attributed to every holder, which
-/// over-counts shared sets — acceptable for budget enforcement).
-int64_t ApproxValueBytes(const Value& v) {
-  int64_t n = static_cast<int64_t>(sizeof(Value));
-  if (v.is_set()) {
-    n += static_cast<int64_t>(v.set_value().size() * sizeof(Value));
+/// Bytes of a set value's element vector (0 for any other kind). A set shared
+/// by several holders is counted once per holder — an over-count, acceptable
+/// for budget enforcement.
+int64_t SetPayloadBytes(const Value& v) {
+  return v.is_set()
+             ? static_cast<int64_t>(v.set_value().size() * sizeof(Value))
+             : 0;
+}
+
+/// HashValues of the values of `row` at `positions`, without gathering them.
+size_t ProjectionHash(const Value* row, const std::vector<int>& positions) {
+  size_t seed = 0x12345678u ^ positions.size();
+  for (int p : positions) HashCombine(&seed, row[p].Hash());
+  return seed;
+}
+
+/// Doubles an open-addressing table (or allocates the first one), re-placing
+/// each occupied entry by its stored `hash`. Tables hold at most half their
+/// size, so the linear probe always finds a free entry.
+template <typename Entry, typename IsFree>
+void GrowTable(std::vector<Entry>* table, const Entry& free_entry,
+               IsFree is_free) {
+  std::vector<Entry> grown(table->empty() ? 8 : 2 * table->size(), free_entry);
+  const size_t mask = grown.size() - 1;
+  for (const Entry& e : *table) {
+    if (is_free(e)) continue;
+    size_t i = e.hash & mask;
+    while (!is_free(grown[i])) i = (i + 1) & mask;
+    grown[i] = e;
   }
-  return n;
+  table->swap(grown);
 }
-
-int64_t ApproxTupleBytes(const Tuple& t) {
-  int64_t n = static_cast<int64_t>(sizeof(Tuple));
-  for (const Value& v : t) n += ApproxValueBytes(v);
-  return n;
-}
-
-/// Per-row bookkeeping outside the tuples themselves: the primary-map entry
-/// (key copy is counted separately) plus hash-table node overhead.
-constexpr int64_t kRowOverheadBytes = 64;
 
 }  // namespace
 
+const Value Relation::kNoCost;
+
+Relation::Relation(const PredicateInfo* pred)
+    : pred_(pred), arity_(pred->key_arity()), has_cost_(pred->has_cost) {}
+
+Relation::Relation(const Relation& other)
+    : pred_(other.pred_),
+      arity_(other.arity_),
+      has_cost_(other.has_cost_),
+      num_rows_(other.num_rows_),
+      keys_(other.keys_),
+      costs_(other.costs_),
+      slots_(other.slots_),
+      set_bytes_(other.set_bytes_),
+      index_reuses_(other.index_reuses_.load(std::memory_order_relaxed)) {
+  int64_t bytes = FlatBytes() + set_bytes_;
+  {
+    std::shared_lock<std::shared_mutex> lk(other.index_mu_);
+    indexes_.reserve(other.indexes_.size());
+    for (const auto& index : other.indexes_) {
+      indexes_.push_back(std::make_unique<Index>(*index));
+      bytes += indexes_.back()->Bytes();
+    }
+  }
+  approx_bytes_.store(bytes, std::memory_order_relaxed);
+}
+
+int64_t Relation::FlatBytes() const {
+  return static_cast<int64_t>(
+      (keys_.capacity() + costs_.capacity()) * sizeof(Value) +
+      slots_.capacity() * sizeof(Slot));
+}
+
+size_t Relation::ProbeSlot(const Value* key, uint32_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.row == kNoRow) return i;
+    if (s.hash == hash &&
+        std::equal(key, key + arity_, keys_.data() + s.row * arity_)) {
+      return i;
+    }
+  }
+}
+
+uint32_t Relation::LookupRow(const Value* key, size_t hash) const {
+  if (slots_.empty()) return kNoRow;
+  return slots_[ProbeSlot(key, static_cast<uint32_t>(hash))].row;
+}
+
 Relation::MergeResult Relation::Merge(const Tuple& key, const Value& cost,
                                       uint32_t* row_out) {
-  // try_emplace hashes the key exactly once for the combined lookup+insert
-  // (the old find-then-emplace hashed twice on every novel fact).
-  auto [it, inserted] = rows_.try_emplace(key, static_cast<uint32_t>(keys_.size()));
-  if (inserted) {
-    keys_.push_back(key);
-    costs_.push_back(pred_->has_cost ? cost : Value());
-    if (row_out != nullptr) *row_out = it->second;
-    // Two key copies live here (dense vector + primary map) plus the cost.
-    approx_bytes_.fetch_add(
-        2 * ApproxTupleBytes(key) + ApproxValueBytes(costs_.back()) +
-            kRowOverheadBytes,
-        std::memory_order_relaxed);
+  assert(key.size() == arity_);
+  // One hash per merge; the slot stores its low 32 bits, which also place
+  // the slot, so growing the table never rehashes a key.
+  const uint32_t hash =
+      static_cast<uint32_t>(HashValues(key.data(), key.size()));
+  size_t slot = slots_.empty() ? 0 : ProbeSlot(key.data(), hash);
+  if (slots_.empty() || slots_[slot].row == kNoRow) {
+    const int64_t before = FlatBytes();
+    // Load factor at most 1/2 keeps misses — one per novel fact — short.
+    if (2 * (num_rows_ + 1) > slots_.size()) {
+      GrowTable(&slots_, Slot{0, kNoRow},
+                [](const Slot& s) { return s.row == kNoRow; });
+      slot = ProbeSlot(key.data(), hash);
+    }
+    const uint32_t row = static_cast<uint32_t>(num_rows_++);
+    slots_[slot] = Slot{hash, row};
+    keys_.insert(keys_.end(), key.begin(), key.end());
+    int64_t set_delta = 0;
+    for (const Value& v : key) set_delta += SetPayloadBytes(v);
+    if (has_cost_) {
+      costs_.push_back(cost);
+      set_delta += SetPayloadBytes(cost);
+    }
+    set_bytes_ += set_delta;
+    const int64_t grew = FlatBytes() - before + set_delta;
+    if (grew != 0) approx_bytes_.fetch_add(grew, std::memory_order_relaxed);
+    if (row_out != nullptr) *row_out = row;
     // Newly appended rows are picked up lazily by GetIndex; nothing to do.
     return MergeResult::kNew;
   }
-  if (row_out != nullptr) *row_out = it->second;
-  if (!pred_->has_cost) return MergeResult::kUnchanged;
-  Value& current = costs_[it->second];
+  const uint32_t row = slots_[slot].row;
+  if (row_out != nullptr) *row_out = row;
+  if (!has_cost_) return MergeResult::kUnchanged;
+  Value& current = costs_[row];
   Value joined = pred_->domain->Join(current, cost);
   if (pred_->domain->Equal(joined, current)) return MergeResult::kUnchanged;
-  approx_bytes_.fetch_add(ApproxValueBytes(joined) - ApproxValueBytes(current),
-                          std::memory_order_relaxed);
+  const int64_t set_delta = SetPayloadBytes(joined) - SetPayloadBytes(current);
+  if (set_delta != 0) {
+    set_bytes_ += set_delta;
+    approx_bytes_.fetch_add(set_delta, std::memory_order_relaxed);
+  }
   current = std::move(joined);
   return MergeResult::kIncreased;
 }
 
-const Value* Relation::Find(const Tuple& key) const {
-  auto it = rows_.find(key);
-  if (it == rows_.end()) return nullptr;
-  return &costs_[it->second];
-}
-
 void Relation::ForEach(
     const std::function<void(const Tuple&, const Value&)>& cb) const {
-  for (size_t i = 0; i < keys_.size(); ++i) cb(keys_[i], costs_[i]);
+  Tuple key;
+  for (size_t row = 0; row < num_rows_; ++row) {
+    KeyRef k = key_at(row);
+    key.assign(k.begin(), k.end());
+    cb(key, cost_at(row));
+  }
+}
+
+uint32_t Relation::Index::Head(const Relation& rel, const Value* vals,
+                               size_t hash) const {
+  if (groups.empty()) return kNoRow;
+  const uint32_t h = static_cast<uint32_t>(hash);
+  const size_t mask = groups.size() - 1;
+  for (size_t i = h & mask;; i = (i + 1) & mask) {
+    const Group& g = groups[i];
+    if (g.head == kNoRow) return kNoRow;
+    if (g.hash != h) continue;
+    const Value* key = rel.keys_.data() + g.head * rel.arity_;
+    size_t k = 0;
+    while (k < positions.size() && key[positions[k]] == vals[k]) ++k;
+    if (k == positions.size()) return g.head;
+  }
+}
+
+void Relation::Index::Extend(const Relation& rel) {
+  size_t row = next.size();
+  next.resize(rel.num_rows_, kNoRow);
+  for (; row < rel.num_rows_; ++row) {
+    const Value* key = rel.keys_.data() + row * rel.arity_;
+    const uint32_t h = static_cast<uint32_t>(ProjectionHash(key, positions));
+    // Finds the row's group, or the empty slot where a new group goes.
+    auto probe = [&]() -> Group& {
+      const size_t mask = groups.size() - 1;
+      for (size_t i = h & mask;; i = (i + 1) & mask) {
+        Group& g = groups[i];
+        if (g.head == kNoRow) return g;
+        if (g.hash != h) continue;
+        const Value* head = rel.keys_.data() + g.head * rel.arity_;
+        size_t k = 0;
+        while (k < positions.size() && head[positions[k]] == key[positions[k]]) {
+          ++k;
+        }
+        if (k == positions.size()) return g;
+      }
+    };
+    Group* g = groups.empty() ? nullptr : &probe();
+    if (g != nullptr && g->head != kNoRow) {
+      next[g->tail] = static_cast<uint32_t>(row);
+      g->tail = static_cast<uint32_t>(row);
+      continue;
+    }
+    if (2 * (num_groups + 1) > groups.size()) {
+      GrowTable(&groups, Group{0, kNoRow, kNoRow},
+                [](const Group& e) { return e.head == kNoRow; });
+      g = &probe();
+    }
+    *g = Group{h, static_cast<uint32_t>(row), static_cast<uint32_t>(row)};
+    ++num_groups;
+  }
+}
+
+int64_t Relation::Index::Bytes() const {
+  return static_cast<int64_t>(positions.capacity() * sizeof(int) +
+                              groups.capacity() * sizeof(Group) +
+                              next.capacity() * sizeof(uint32_t));
 }
 
 const Relation::Index& Relation::GetIndex(
     const std::vector<int>& bound_pos) const {
   {
     std::shared_lock<std::shared_mutex> lk(index_mu_);
-    auto it = indexes_.find(bound_pos);
-    if (it != indexes_.end() && it->second.built_rows == keys_.size()) {
-      index_reuses_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+    for (const auto& index : indexes_) {
+      if (index->positions != bound_pos) continue;
+      if (index->built_rows() == num_rows_) {
+        index_reuses_.fetch_add(1, std::memory_order_relaxed);
+        return *index;
+      }
+      break;
     }
   }
   std::unique_lock<std::shared_mutex> lk(index_mu_);
-  Index& index = indexes_[bound_pos];
-  for (size_t row = index.built_rows; row < keys_.size(); ++row) {
-    Tuple proj;
-    proj.reserve(bound_pos.size());
-    for (int p : bound_pos) proj.push_back(keys_[row][p]);
-    approx_bytes_.fetch_add(ApproxTupleBytes(proj) + sizeof(uint32_t),
-                            std::memory_order_relaxed);
-    index.buckets[std::move(proj)].push_back(static_cast<uint32_t>(row));
+  Index* index = nullptr;
+  for (const auto& candidate : indexes_) {
+    if (candidate->positions == bound_pos) index = candidate.get();
   }
-  index.built_rows = keys_.size();
-  return index;
+  if (index == nullptr) {
+    indexes_.push_back(std::make_unique<Index>());
+    index = indexes_.back().get();
+    index->positions = bound_pos;
+  }
+  const int64_t before = index->Bytes();
+  index->Extend(*this);
+  approx_bytes_.fetch_add(index->Bytes() - before, std::memory_order_relaxed);
+  return *index;
 }
 
 void Relation::ForceIndex(const std::vector<int>& bound_pos) const {
   if (bound_pos.empty()) return;
-  if (static_cast<int>(bound_pos.size()) == pred_->key_arity()) return;
+  if (bound_pos.size() == arity_) return;
   GetIndex(bound_pos);
 }
 
 void Relation::Scan(
     const std::vector<int>& bound_pos, const Tuple& bound_vals,
     const std::function<void(const Tuple&, const Value&)>& cb) const {
-  ScanRows(bound_pos, bound_vals,
-           [&](size_t row) { cb(keys_[row], costs_[row]); });
-}
-
-void Relation::ScanRows(const std::vector<int>& bound_pos,
-                        const Tuple& bound_vals,
-                        const std::function<void(size_t row)>& cb) const {
   assert(bound_pos.size() == bound_vals.size());
-  if (bound_pos.empty()) {
-    for (size_t row = 0; row < keys_.size(); ++row) cb(row);
-    return;
-  }
-  // One hash for the whole lookup, whichever container serves it.
-  const PrehashedTuple probe{&bound_vals, TupleHash{}(bound_vals)};
-  if (static_cast<int>(bound_pos.size()) == pred_->key_arity()) {
-    // Fully bound: point lookup on the primary map.
-    auto it = rows_.find(probe);
-    if (it != rows_.end()) cb(it->second);
-    return;
-  }
-  const Index& index = GetIndex(bound_pos);
-  auto it = index.buckets.find(probe);
-  if (it == index.buckets.end()) return;
-  for (uint32_t row : it->second) cb(row);
+  Tuple key;
+  ForEachMatchingRow(bound_pos, bound_vals.data(), [&](size_t row) {
+    KeyRef k = key_at(row);
+    key.assign(k.begin(), k.end());
+    cb(key, cost_at(row));
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 #ifndef MAD_DATALOG_DATABASE_H_
 #define MAD_DATALOG_DATABASE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -17,6 +17,38 @@
 namespace mad {
 namespace datalog {
 
+/// A read-only view of one stored key: `size()` values laid out contiguously
+/// in a relation's row-major key array. It compares equal to a Tuple with the
+/// same values and converts to one. A KeyRef obtained from a Relation stays
+/// valid until the next Merge on that relation (an append may move the
+/// array); copy it into a Tuple to keep it longer.
+class KeyRef {
+ public:
+  using value_type = Value;
+  using iterator = const Value*;
+  using const_iterator = const Value*;
+
+  KeyRef(const Value* data, size_t size) : data_(data), size_(size) {}
+  KeyRef(const Tuple& t) : data_(t.data()), size_(t.size()) {}  // NOLINT
+
+  const Value& operator[](size_t i) const { return data_[i]; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Value* begin() const { return data_; }
+  const Value* end() const { return data_ + size_; }
+
+  operator Tuple() const { return Tuple(begin(), end()); }  // NOLINT
+
+  friend bool operator==(KeyRef a, KeyRef b) {
+    return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
+  }
+  friend bool operator!=(KeyRef a, KeyRef b) { return !(a == b); }
+
+ private:
+  const Value* data_;
+  size_t size_;
+};
+
 /// The stored extension of one predicate.
 ///
 /// A relation for a cost predicate maps key tuples (the non-cost arguments)
@@ -25,10 +57,21 @@ namespace datalog {
 /// the two values in the predicate's lattice (the core never shrinks under
 /// monotone evaluation, and lattice programs only ever move up ⊑).
 ///
-/// Storage is append-only: rows keep stable dense ids, which lets secondary
-/// indexes extend lazily instead of rebuilding. Only the *core* (Section 2.3.3)
-/// is stored: default-value predicates' implicit ⊥ rows are synthesized by
-/// the evaluator, never materialized here.
+/// Storage is flat and append-only. Rows have stable dense ids (0-based, in
+/// insertion order). Row r's key is the `key_arity` values at
+/// `keys_[r * key_arity ...]` of one row-major array; its cost is `costs_[r]`
+/// (cost predicates only). The primary index is an open-addressing table of
+/// {hash, row id} slots probed against that array, so each key is stored
+/// once. A secondary index per bound-position set is an open-addressing
+/// table of groups {hash, head row, tail row} plus a per-row `next` link;
+/// rows are linked in append order, so a scan visits matching rows in
+/// ascending row order, and an index extends lazily over rows appended since
+/// it was last used instead of rebuilding. Only the *core* (Section 2.3.3) is
+/// stored: default-value predicates' implicit ⊥ rows are synthesized by the
+/// evaluator, never materialized here.
+///
+/// key_at() returns a KeyRef into the key array; it and every pointer
+/// returned by Find/cost_at are valid until the next Merge on this relation.
 ///
 /// Concurrency contract: mutation (Merge) is exclusive — callers serialize it
 /// (the parallel evaluator shards relations across merge workers so each
@@ -40,23 +83,14 @@ namespace datalog {
 /// shared lock.
 class Relation {
  public:
-  explicit Relation(const PredicateInfo* pred) : pred_(pred) {}
+  explicit Relation(const PredicateInfo* pred);
 
   /// Deep copy; the clone starts with the source's rows and indexes but
   /// fresh synchronization state (and is never frozen — see freeze()). Row
   /// storage must not race with writers, but concurrent *readers* of the
   /// source are fine: the secondary indexes (the only state mutated through
   /// const access) are copied under the source's index lock.
-  Relation(const Relation& other)
-      : pred_(other.pred_),
-        keys_(other.keys_),
-        costs_(other.costs_),
-        rows_(other.rows_),
-        index_reuses_(other.index_reuses_.load(std::memory_order_relaxed)),
-        approx_bytes_(other.approx_bytes_.load(std::memory_order_relaxed)) {
-    std::shared_lock<std::shared_mutex> lk(other.index_mu_);
-    indexes_ = other.indexes_;
-  }
+  Relation(const Relation& other);
   Relation& operator=(const Relation&) = delete;
 
   /// Copy-on-write support for Database::Snapshot. A frozen relation is
@@ -84,28 +118,31 @@ class Relation {
                     uint32_t* row = nullptr);
 
   /// True iff `key` is explicitly present (ignores default values).
-  bool Contains(const Tuple& key) const { return rows_.count(key) > 0; }
+  bool Contains(const Tuple& key) const { return RowOf(key) != kNoRow; }
 
   /// Stored cost for `key`, or nullptr if the key is absent. For cost-free
   /// predicates the returned value is unspecified (presence is the answer).
-  const Value* Find(const Tuple& key) const;
+  const Value* Find(const Tuple& key) const {
+    uint32_t row = RowOf(key);
+    return row == kNoRow ? nullptr : &cost_at(row);
+  }
 
   /// Stable row id for `key`, or std::nullopt if absent.
   std::optional<uint32_t> FindRow(const Tuple& key) const {
-    auto it = rows_.find(key);
-    if (it == rows_.end()) return std::nullopt;
-    return it->second;
+    uint32_t row = RowOf(key);
+    if (row == kNoRow) return std::nullopt;
+    return row;
   }
 
-  size_t size() const { return keys_.size(); }
-  bool empty() const { return keys_.empty(); }
+  size_t size() const { return num_rows_; }
+  bool empty() const { return num_rows_ == 0; }
 
-  /// Approximate bytes held by this relation: rows (keys, costs, primary
-  /// map) plus lazily built secondary indexes. Maintained incrementally so
-  /// the resource governor can poll it at merge granularity; set payloads
-  /// count their element vectors, interned symbols count as their 16-byte
-  /// handles (the symbol table is process-global and shared). Atomic so the
-  /// governor can poll while other relations' shards are still merging.
+  /// Bytes held by this relation: the capacities of the key, cost, slot and
+  /// index arrays, plus the element vectors of set values it stores.
+  /// Interned symbols count as their Value slot (the symbol table is
+  /// process-global and shared). Maintained incrementally so the resource
+  /// governor can poll it at merge granularity; atomic so the governor can
+  /// poll while other relations' shards are still merging.
   int64_t ApproxBytes() const {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
@@ -118,25 +155,51 @@ class Relation {
   }
 
   /// Stable row access (row ids are dense, 0-based, insertion-ordered).
-  const Tuple& key_at(size_t row) const { return keys_[row]; }
-  const Value& cost_at(size_t row) const { return costs_[row]; }
+  KeyRef key_at(size_t row) const {
+    return KeyRef(keys_.data() + row * arity_, arity_);
+  }
+  /// The row's cost; an unset Value for cost-free predicates.
+  const Value& cost_at(size_t row) const {
+    return has_cost_ ? costs_[row] : kNoCost;
+  }
 
-  /// Calls `cb(key, cost)` for every stored row.
+  /// Calls `cb(key, cost)` for every stored row, in row order. `key` is a
+  /// scratch tuple, valid for the duration of one call.
   void ForEach(
       const std::function<void(const Tuple&, const Value&)>& cb) const;
 
   /// Enumerates rows whose key matches `bound_vals` at positions
-  /// `bound_pos` (strictly increasing position list over key columns).
-  /// Uses a lazily maintained hash index per position-set; an empty
-  /// position list degenerates to a full scan and a full position list to a
-  /// point lookup.
+  /// `bound_pos` (strictly increasing position list over key columns), in
+  /// ascending row order. Uses a lazily maintained hash index per
+  /// position-set; an empty position list degenerates to a full scan and a
+  /// full position list to a point lookup. `key` is a scratch tuple, valid
+  /// for the duration of one call.
   void Scan(const std::vector<int>& bound_pos, const Tuple& bound_vals,
             const std::function<void(const Tuple&, const Value&)>& cb) const;
 
-  /// Row ids matching the pattern, for callers that need stable handles
-  /// (the semi-naive evaluator's delta scans).
-  void ScanRows(const std::vector<int>& bound_pos, const Tuple& bound_vals,
-                const std::function<void(size_t row)>& cb) const;
+  /// The allocation-free form of Scan for the evaluator's inner loop: calls
+  /// `f(row)` for every matching row id, in ascending order. `bound_vals`
+  /// points at `bound_pos.size()` values. `f` must not merge into this
+  /// relation.
+  template <typename F>
+  void ForEachMatchingRow(const std::vector<int>& bound_pos,
+                          const Value* bound_vals, F&& f) const {
+    if (bound_pos.empty()) {
+      for (size_t row = 0; row < num_rows_; ++row) f(row);
+      return;
+    }
+    const size_t hash = HashValues(bound_vals, bound_pos.size());
+    if (bound_pos.size() == arity_) {
+      uint32_t row = LookupRow(bound_vals, hash);
+      if (row != kNoRow) f(row);
+      return;
+    }
+    const Index& index = GetIndex(bound_pos);
+    for (uint32_t row = index.Head(*this, bound_vals, hash); row != kNoRow;
+         row = index.next[row]) {
+      f(row);
+    }
+  }
 
   /// Builds (or extends to current size) the secondary index for
   /// `bound_pos`, so subsequent concurrent Scans with that pattern are pure
@@ -146,26 +209,70 @@ class Relation {
   void ForceIndex(const std::vector<int>& bound_pos) const;
 
  private:
-  struct Index {
-    std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash, TupleEq>
-        buckets;
-    size_t built_rows = 0;  ///< rows [0, built_rows) are indexed
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+  static const Value kNoCost;
+
+  /// Primary-index slot: the low 32 bits of the key hash and the row id
+  /// (kNoRow marks an empty slot).
+  struct Slot {
+    uint32_t hash;
+    uint32_t row;
   };
+
+  /// Secondary index over one bound-position set.
+  struct Index {
+    /// One distinct projection: its hash and the first and last matching
+    /// rows; `head == kNoRow` marks an empty slot.
+    struct Group {
+      uint32_t hash;
+      uint32_t head;
+      uint32_t tail;
+    };
+    std::vector<int> positions;
+    std::vector<Group> groups;   ///< open addressing, power-of-two size
+    std::vector<uint32_t> next;  ///< next row with the same projection
+    size_t num_groups = 0;
+
+    size_t built_rows() const { return next.size(); }
+    /// First row whose projection equals `vals` (hash `hash`), or kNoRow.
+    uint32_t Head(const Relation& rel, const Value* vals, size_t hash) const;
+    /// Links rows [built_rows(), rel.size()) into their groups.
+    void Extend(const Relation& rel);
+    int64_t Bytes() const;
+  };
+
+  /// Row id of `key`, or kNoRow (also for a key of the wrong arity).
+  uint32_t RowOf(const Tuple& key) const {
+    if (key.size() != arity_) return kNoRow;
+    return LookupRow(key.data(), HashValues(key.data(), key.size()));
+  }
+  /// Row whose key equals the `arity_` values at `key`, or kNoRow.
+  uint32_t LookupRow(const Value* key, size_t hash) const;
+  /// The slot holding `key` (low hash bits `hash`), or the empty slot where
+  /// it would go. The table must be non-empty.
+  size_t ProbeSlot(const Value* key, uint32_t hash) const;
+  /// Bytes of the flat arrays (keys, costs, primary slots).
+  int64_t FlatBytes() const;
 
   /// Returns the index for `bound_pos` extended to cover all current rows.
   /// Fast path: shared lock, index already complete. Slow path: exclusive
   /// lock, extend. The returned reference stays valid after the lock drops
-  /// (node-based std::map) and its buckets are safe to read concurrently as
-  /// long as no rows are appended — which the phased evaluator guarantees.
+  /// (indexes are heap-allocated and never freed while the relation lives)
+  /// and is safe to read concurrently as long as no rows are appended —
+  /// which the phased evaluator guarantees.
   const Index& GetIndex(const std::vector<int>& bound_pos) const;
 
   const PredicateInfo* pred_;
-  std::vector<Tuple> keys_;
-  std::vector<Value> costs_;
-  std::unordered_map<Tuple, uint32_t, TupleHash, TupleEq> rows_;
-  bool cow_frozen_ = false;  ///< writer-thread-only; see freeze()
-  mutable std::shared_mutex index_mu_;  ///< guards indexes_ map + extension
-  mutable std::map<std::vector<int>, Index> indexes_;
+  size_t arity_;
+  bool has_cost_;
+  size_t num_rows_ = 0;
+  std::vector<Value> keys_;   ///< row-major, arity_ values per row
+  std::vector<Value> costs_;  ///< one per row; empty for cost-free preds
+  std::vector<Slot> slots_;   ///< primary index, power-of-two size
+  int64_t set_bytes_ = 0;     ///< element vectors of stored set values
+  bool cow_frozen_ = false;   ///< writer-thread-only; see freeze()
+  mutable std::shared_mutex index_mu_;  ///< guards indexes_ + extension
+  mutable std::vector<std::unique_ptr<Index>> indexes_;
   mutable std::atomic<int64_t> index_reuses_{0};
   mutable std::atomic<int64_t> approx_bytes_{0};
 };

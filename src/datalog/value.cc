@@ -86,21 +86,8 @@ std::string_view Value::symbol_name() const {
   return SymbolTable::Global().NameOf(symbol_id());
 }
 
-bool Value::operator==(const Value& other) const {
-  if (kind_ != other.kind_) return false;
-  switch (kind_) {
-    case Kind::kNone:
-      return true;
-    case Kind::kSymbol:
-    case Kind::kInt:
-    case Kind::kBool:
-      return int_ == other.int_;
-    case Kind::kDouble:
-      return double_ == other.double_;
-    case Kind::kSet:
-      return set_ == other.set_ || *set_ == *other.set_;
-  }
-  return false;
+bool Value::SetEquals(const Value& other) const {
+  return set_ == other.set_ || *set_ == *other.set_;
 }
 
 bool Value::operator<(const Value& other) const {
@@ -122,33 +109,10 @@ bool Value::operator<(const Value& other) const {
   return false;
 }
 
-size_t Value::Hash() const {
-  uint64_t h = HashMix64(static_cast<uint64_t>(kind_));
-  switch (kind_) {
-    case Kind::kNone:
-      break;
-    case Kind::kSymbol:
-    case Kind::kInt:
-    case Kind::kBool:
-      h = HashMix64(h ^ static_cast<uint64_t>(int_));
-      break;
-    case Kind::kDouble: {
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(double_));
-      // Normalize -0.0 to +0.0 so x == y implies Hash(x) == Hash(y).
-      double d = double_ == 0.0 ? 0.0 : double_;
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      h = HashMix64(h ^ bits);
-      break;
-    }
-    case Kind::kSet: {
-      size_t seed = 0xabcdef12u ^ set_->size();
-      for (const Value& v : *set_) HashCombine(&seed, v.Hash());
-      h = HashMix64(h ^ seed);
-      break;
-    }
-  }
-  return static_cast<size_t>(h);
+uint64_t Value::SetHash() const {
+  size_t seed = 0xabcdef12u ^ set_->size();
+  for (const Value& v : *set_) HashCombine(&seed, v.Hash());
+  return seed;
 }
 
 std::string Value::ToString() const {

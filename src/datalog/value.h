@@ -22,8 +22,8 @@ using ValueSet = std::vector<Value>;
 /// The runtime value of a ground term: an interned symbol, a 64-bit integer,
 /// a double, a boolean, or a finite set of values.
 ///
-/// Values are small (16 bytes + optional shared set payload), cheaply
-/// copyable, totally ordered (by kind, then payload) so they can serve as
+/// Values are 32 bytes (a kind tag, an 8-byte payload and the shared_ptr
+/// handle of an optional set payload), cheaply copyable, totally ordered (by kind, then payload) so they can serve as
 /// hash/tree keys, and hash-consistent with operator==.
 ///
 /// NOTE: Value's total order is a *representation* order used for indexing;
@@ -97,12 +97,41 @@ class Value {
     return kind_ == Kind::kDouble ? double_ : static_cast<double>(int_);
   }
 
-  bool operator==(const Value& other) const;
+  bool operator==(const Value& other) const {
+    if (kind_ != other.kind_) return false;
+    switch (kind_) {
+      case Kind::kDouble:
+        return double_ == other.double_;
+      case Kind::kSet:
+        return SetEquals(other);
+      default:
+        return kind_ == Kind::kNone || int_ == other.int_;
+    }
+  }
   bool operator!=(const Value& other) const { return !(*this == other); }
   /// Representation order: kind first, payload second.
   bool operator<(const Value& other) const;
 
-  size_t Hash() const;
+  size_t Hash() const {
+    uint64_t h = HashMix64(static_cast<uint64_t>(kind_));
+    switch (kind_) {
+      case Kind::kNone:
+        return static_cast<size_t>(h);
+      case Kind::kDouble: {
+        // Normalize -0.0 to +0.0 so x == y implies Hash(x) == Hash(y).
+        double d = double_ == 0.0 ? 0.0 : double_;
+        uint64_t bits;
+        static_assert(sizeof(bits) == sizeof(d));
+        __builtin_memcpy(&bits, &d, sizeof(bits));
+        return static_cast<size_t>(HashMix64(h ^ bits));
+      }
+      case Kind::kSet:
+        return static_cast<size_t>(HashMix64(h ^ SetHash()));
+      default:
+        return static_cast<size_t>(
+            HashMix64(h ^ static_cast<uint64_t>(int_)));
+    }
+  }
 
   /// Human-readable form: symbols print their name, sets print "{a, b}".
   std::string ToString() const;
@@ -112,6 +141,9 @@ class Value {
   static int NumericCompare(const Value& a, const Value& b);
 
  private:
+  bool SetEquals(const Value& other) const;
+  uint64_t SetHash() const;
+
   Kind kind_;
   union {
     int64_t int_;
@@ -120,13 +152,16 @@ class Value {
   std::shared_ptr<const ValueSet> set_;
 };
 
+static_assert(sizeof(Value) == 32,
+              "Value is a tag, an 8-byte payload and a shared_ptr handle");
+
 inline std::ostream& operator<<(std::ostream& os, const Value& v) {
   return os << v.ToString();
 }
 
 /// Process-wide symbol interner. Symbol ids are dense and stable for the
-/// process lifetime, which lets Value stay 16 bytes and makes joins compare
-/// integers rather than strings (the standard Datalog-engine trick).
+/// process lifetime, which lets a symbol Value carry a 4-byte id instead of a
+/// string and makes joins compare integers rather than strings (the standard Datalog-engine trick).
 class SymbolTable {
  public:
   static SymbolTable& Global();
@@ -159,37 +194,17 @@ namespace datalog {
 /// A tuple of ground values; the key of a fact (all non-cost arguments).
 using Tuple = std::vector<Value>;
 
-/// A probe carrying a tuple together with its precomputed TupleHash, so a
-/// lookup that touches several hash containers (primary row map, secondary
-/// index buckets) hashes the tuple exactly once.
-struct PrehashedTuple {
-  const Tuple* tuple;
-  size_t hash;
-};
+/// Hash of `n` contiguous values, combined in order. TupleHash and the
+/// relation indexes share it, so a stored key and a probe tuple hash alike.
+inline size_t HashValues(const Value* vals, size_t n) {
+  size_t seed = 0x12345678u ^ n;
+  for (size_t i = 0; i < n; ++i) HashCombine(&seed, vals[i].Hash());
+  return seed;
+}
 
 struct TupleHash {
-  using is_transparent = void;
   size_t operator()(const Tuple& t) const {
-    size_t seed = 0x12345678u ^ t.size();
-    for (const Value& v : t) HashCombine(&seed, v.Hash());
-    return seed;
-  }
-  size_t operator()(const PrehashedTuple& p) const { return p.hash; }
-};
-
-/// Transparent equality companion to TupleHash: containers declared with
-/// (TupleHash, TupleEq) accept PrehashedTuple probes in find().
-struct TupleEq {
-  using is_transparent = void;
-  bool operator()(const Tuple& a, const Tuple& b) const { return a == b; }
-  bool operator()(const PrehashedTuple& a, const Tuple& b) const {
-    return *a.tuple == b;
-  }
-  bool operator()(const Tuple& a, const PrehashedTuple& b) const {
-    return a == *b.tuple;
-  }
-  bool operator()(const PrehashedTuple& a, const PrehashedTuple& b) const {
-    return *a.tuple == *b.tuple;
+    return HashValues(t.data(), t.size());
   }
 };
 

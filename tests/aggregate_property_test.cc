@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "lattice/aggregate.h"
 #include "util/random.h"
@@ -130,8 +132,13 @@ INSTANTIATE_TEST_SUITE_P(AllRows, Figure1MonotonicityTest,
 // Pseudo-monotonicity (Section 4.1.1): monotone between equal-size multisets.
 // ---------------------------------------------------------------------------
 
+// Parameters are std::string rather than const char* so that the printed
+// GetParam() value, which becomes part of the registered test name, is the
+// text itself and not an address that changes from build to build.
+using AggregateOnDomain = std::pair<std::string, std::string>;
+
 class PseudoMonotonicityTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<AggregateOnDomain> {};
 
 TEST_P(PseudoMonotonicityTest, FixedCardinalityMonotone) {
   auto [name, domain_name] = GetParam();
@@ -160,13 +167,12 @@ TEST_P(PseudoMonotonicityTest, FixedCardinalityMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(
     PseudoRows, PseudoMonotonicityTest,
-    ::testing::Values(std::make_pair("and", "bool_or"),
-                      std::make_pair("min", "max_real"),
-                      std::make_pair("max", "min_real"),
-                      std::make_pair("avg", "max_real")),
-    [](const ::testing::TestParamInfo<std::pair<const char*, const char*>>&
-           info) {
-      return std::string(info.param.first) + "_" + info.param.second;
+    ::testing::Values(AggregateOnDomain{"and", "bool_or"},
+                      AggregateOnDomain{"min", "max_real"},
+                      AggregateOnDomain{"max", "min_real"},
+                      AggregateOnDomain{"avg", "max_real"}),
+    [](const ::testing::TestParamInfo<AggregateOnDomain>& info) {
+      return info.param.first + "_" + info.param.second;
     });
 
 TEST(PseudoMonotonicityTest, AndUnderLeqIsNotFullyMonotonic) {

@@ -1,6 +1,8 @@
 // Unit tests for the rule compiler: slot assignment, safe scheduling,
 // driver-variant construction (the semi-naive machinery of Section 6.2).
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "analysis/dependency_graph.h"
@@ -40,8 +42,8 @@ TEST(CompiledRuleTest, SlotAssignmentCoversAllVariables) {
   // path(X, Z, Y, C) :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
   const CompiledRule& r = c.rules[1];
   EXPECT_EQ(r.num_slots, 6);  // X Z Y C C1 C2
-  EXPECT_EQ(r.var_slots.size(), 6u);
-  EXPECT_TRUE(r.var_slots.count("C1"));
+  EXPECT_EQ(r.slot_names.size(), 6u);
+  EXPECT_EQ(std::count(r.slot_names.begin(), r.slot_names.end(), "C1"), 1);
   EXPECT_EQ(r.head_key.size(), 3u);
   ASSERT_TRUE(r.head_cost.has_value());
   EXPECT_TRUE(r.head_cost->is_slot);

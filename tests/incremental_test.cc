@@ -55,6 +55,26 @@ TEST(IncrementalTest, SingleArcInsertMatchesFullRecompute) {
   EXPECT_EQ(incremental->db.ToString(), full->db.ToString());
 }
 
+TEST(IncrementalTest, UpdateReportsWallTime) {
+  Random rng(3);
+  Graph g = workloads::RandomGraph(20, 50, {1.0, 9.0}, &rng);
+  auto program = datalog::ParseProgram(workloads::kShortestPathProgram);
+  ASSERT_TRUE(program.ok());
+  Engine engine(*program);
+  Database edb;
+  ASSERT_TRUE(workloads::AddGraphFacts(*program, g, &edb).ok());
+  auto result = engine.Run(std::move(edb));
+  ASSERT_TRUE(result.ok());
+  const double batch_seconds = result->stats.wall_seconds;
+
+  auto ustats = engine.Update(&result.value(), {ArcFact(*program, 0, 19, 0.5)});
+  ASSERT_TRUE(ustats.ok()) << ustats.status();
+  ASSERT_GT(ustats->derivations, 0);
+  EXPECT_GT(ustats->wall_seconds, 0.0);
+  // The cumulative stats add the update's time to the batch run's.
+  EXPECT_GT(result->stats.wall_seconds, batch_seconds);
+}
+
 class IncrementalSeedTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalSeedTest, ArcByArcEqualsBatch) {
