@@ -1,7 +1,7 @@
 // Static planning costs and payoffs: how much the whole-program planner
 // (type inference + per-rule SIPS join ordering) costs as programs grow, and
 // what planned join orders buy at evaluation time against the textual-order
-// oracle and the legacy greedy-tier heuristic on the shortest-path workload.
+// oracle on the shortest-path workload.
 
 #include <benchmark/benchmark.h>
 
@@ -80,7 +80,7 @@ void BM_InferTypes(benchmark::State& state) {
 BENCHMARK(BM_InferTypes)->RangeMultiplier(4)->Range(8, 512);
 
 // ---------------------------------------------------------------------------
-// Evaluation under the three join-order modes: same least model (certified
+// Evaluation under the two join-order modes: same least model (certified
 // by plan_differential_test), different work. The per-mode subgoal_evals
 // counter is the model-independent work metric.
 // ---------------------------------------------------------------------------
@@ -119,11 +119,6 @@ void BM_EvalTextual(benchmark::State& state) {
   EvalWithMode(state, core::JoinOrderMode::kTextual);
 }
 BENCHMARK(BM_EvalTextual)->RangeMultiplier(2)->Range(16, 128);
-
-void BM_EvalHeuristic(benchmark::State& state) {
-  EvalWithMode(state, core::JoinOrderMode::kHeuristic);
-}
-BENCHMARK(BM_EvalHeuristic)->RangeMultiplier(2)->Range(16, 128);
 
 }  // namespace
 

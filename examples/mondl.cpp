@@ -14,8 +14,8 @@
 //   --explain                           print the static query plans (per-rule
 //                                       adornments, inferred column types and
 //                                       join order) and exit; honors --format
-//   --join-order=planned|textual|heuristic  subgoal scheduling (default
-//                                       planned; all modes compute the same
+//   --join-order=planned|textual        subgoal scheduling (default
+//                                       planned; both modes compute the same
 //                                       least model)
 //   --stats                             print evaluation statistics
 //   --format=text|json                  output format (default text)
@@ -61,7 +61,7 @@ int Usage() {
       << "usage: mondl [--strategy=naive|seminaive|greedy] "
          "[--max-iterations=N]\n"
          "             [--epsilon=E] [--threads=N] [--no-validate] [--check]\n"
-         "             [--explain] [--join-order=planned|textual|heuristic]\n"
+         "             [--explain] [--join-order=planned|textual]\n"
          "             [--stats] [--format=text|json]\n"
          "             [--dump=PRED[,PRED...]] [--query=ATOM]\n"
          "             [--query-mode=auto|demand|full] [--query-check]\n"
@@ -129,8 +129,6 @@ int main(int argc, char** argv) {
         options.join_order = core::JoinOrderMode::kPlanned;
       } else if (s == "textual") {
         options.join_order = core::JoinOrderMode::kTextual;
-      } else if (s == "heuristic") {
-        options.join_order = core::JoinOrderMode::kHeuristic;
       } else {
         return Usage();
       }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "util/string_util.h"
@@ -221,8 +220,8 @@ bool AggregateReady(const AggregateSubgoal& agg, SlotMap* slots,
   return true;
 }
 
-/// Side-effect-free readiness probe: mirrors exactly the conditions under
-/// which the tiered scheduler below would accept the subgoal. (SlotMap
+/// Side-effect-free readiness probe: the conditions under which CompileStep
+/// can execute the subgoal with the slots bound so far. (SlotMap
 /// lazily allocates slot ids for probed variables; that is idempotent and
 /// harmless — every rule variable receives a slot eventually.)
 bool SubgoalReady(const Subgoal& sg, SlotMap* slots,
@@ -266,8 +265,7 @@ StatusOr<CompiledSubgoal> CompileStep(const Subgoal& sg, SlotMap* slots,
         step.builtin = CompileBuiltin(b, slots);
         return step;
       }
-      // Assignment form; try lhs as the defined variable first, like the
-      // tiered scheduler.
+      // Assignment form; try lhs as the defined variable first.
       auto try_assign = [&](const Expr& var_side,
                             const Expr& expr_side) -> bool {
         if (var_side.kind != Expr::Kind::kVar) return false;
@@ -309,121 +307,33 @@ StatusOr<CompiledSubgoal> CompileStep(const Subgoal& sg, SlotMap* slots,
   return Status::Internal("unknown subgoal kind");
 }
 
-/// Greedy safe-order scheduling of a rule body. `skip` may name one subgoal
-/// index to omit (the seed of an atom driver). `pref` (nullable) ranks the
-/// body subgoals — lower rank first among the *ready* ones; readiness always
-/// wins over preference, so any rank vector yields a safe schedule. Null
-/// keeps the legacy tiered heuristic.
+/// Safe-order scheduling of a rule body. `skip` may name one subgoal index
+/// to omit (the seed of an atom driver). `pref` ranks the body subgoals:
+/// lower rank first among the *ready* ones. Readiness always wins over
+/// preference, so any rank vector yields a safe schedule.
 StatusOr<Schedule> ScheduleBody(const Rule& rule, SlotMap* slots,
                                 std::set<int> bound,
-                                const std::vector<int>* pref, int skip = -1) {
+                                const std::vector<int>& pref, int skip = -1) {
   const std::vector<Subgoal>& body = rule.body;
   std::vector<bool> done(body.size(), false);
   if (skip >= 0) done[skip] = true;
   size_t remaining = body.size() - (skip >= 0 ? 1 : 0);
 
   Schedule schedule;
-  if (pref != nullptr) {
-    while (remaining > 0) {
-      int pick = -1;
-      for (size_t i = 0; i < body.size(); ++i) {
-        if (done[i]) continue;
-        if (pick >= 0 && (*pref)[i] >= (*pref)[pick]) continue;
-        if (SubgoalReady(body[i], slots, bound)) pick = static_cast<int>(i);
-      }
-      if (pick < 0) {
-        return Status::Internal(StrPrintf(
-            "no safe evaluation order for rule '%s'; is it range-restricted?",
-            rule.ToString().c_str()));
-      }
-      MAD_ASSIGN_OR_RETURN(CompiledSubgoal step,
-                           CompileStep(body[pick], slots, &bound));
-      done[pick] = true;
-      --remaining;
-      schedule.push_back(std::move(step));
-    }
-    return schedule;
-  }
   while (remaining > 0) {
-    // Priority 1: built-ins (tests or assignments) — cheap filters first.
     int pick = -1;
-    CompiledSubgoal step;
-    for (size_t i = 0; i < body.size() && pick < 0; ++i) {
-      if (done[i] || body[i].kind != Subgoal::Kind::kBuiltin) continue;
-      const auto& b = body[i].builtin;
-      if (ExprBound(*b.lhs, slots, bound) && ExprBound(*b.rhs, slots, bound)) {
-        step.kind = CompiledSubgoal::Kind::kBuiltin;
-        step.builtin = CompileBuiltin(b, slots);
-        pick = static_cast<int>(i);
-      } else if (b.op == CmpOp::kEq) {
-        auto try_assign = [&](const Expr& var_side, const Expr& expr_side) {
-          if (pick >= 0) return;
-          if (var_side.kind != Expr::Kind::kVar) return;
-          int s = slots->SlotOf(var_side.var);
-          if (bound.count(s)) return;
-          if (!ExprBound(expr_side, slots, bound)) return;
-          step.kind = CompiledSubgoal::Kind::kBuiltin;
-          step.builtin = CompileBuiltin(b, slots, s, &expr_side);
-          pick = static_cast<int>(i);
-          bound.insert(s);
-        };
-        try_assign(*b.lhs, *b.rhs);
-        try_assign(*b.rhs, *b.lhs);
-      }
+    for (size_t i = 0; i < body.size(); ++i) {
+      if (done[i]) continue;
+      if (pick >= 0 && pref[i] >= pref[pick]) continue;
+      if (SubgoalReady(body[i], slots, bound)) pick = static_cast<int>(i);
     }
-    // Priority 2: negated atoms once fully bound.
-    for (size_t i = 0; i < body.size() && pick < 0; ++i) {
-      if (done[i] || body[i].kind != Subgoal::Kind::kNegatedAtom) continue;
-      CompiledAtom atom = CompileAtom(body[i].atom, slots);
-      if (!AtomFullyBound(atom, bound)) continue;
-      ComputeScanPositions(&atom, bound);
-      step.kind = CompiledSubgoal::Kind::kNegatedAtom;
-      step.atom = std::move(atom);
-      pick = static_cast<int>(i);
-    }
-    // Priority 3: positive atoms; prefer most-bound keys; default-value
-    // atoms require fully bound keys.
-    if (pick < 0) {
-      int best = -1;
-      int best_bound = -1;
-      for (size_t i = 0; i < body.size(); ++i) {
-        if (done[i] || body[i].kind != Subgoal::Kind::kAtom) continue;
-        CompiledAtom atom = CompileAtom(body[i].atom, slots);
-        if (atom.pred->has_default && !AtomKeysBound(atom, bound)) continue;
-        int nbound = 0;
-        for (const SlotTerm& t : atom.key_args) {
-          if (!t.is_slot || bound.count(t.slot)) ++nbound;
-        }
-        if (nbound > best_bound) {
-          best = static_cast<int>(i);
-          best_bound = nbound;
-        }
-      }
-      if (best >= 0) {
-        CompiledAtom atom = CompileAtom(body[best].atom, slots);
-        ComputeScanPositions(&atom, bound);
-        AtomSlots(atom, &bound);
-        step.kind = CompiledSubgoal::Kind::kAtom;
-        step.atom = std::move(atom);
-        pick = best;
-      }
-    }
-    // Priority 4: aggregates once their grouping variables are bound.
-    for (size_t i = 0; i < body.size() && pick < 0; ++i) {
-      if (done[i] || body[i].kind != Subgoal::Kind::kAggregate) continue;
-      if (!AggregateReady(body[i].aggregate, slots, bound)) continue;
-      MAD_ASSIGN_OR_RETURN(CompiledAggregate agg,
-                           CompileAggregate(body[i].aggregate, slots, &bound));
-      step.kind = CompiledSubgoal::Kind::kAggregate;
-      step.aggregate = std::move(agg);
-      pick = static_cast<int>(i);
-    }
-
     if (pick < 0) {
       return Status::Internal(StrPrintf(
           "no safe evaluation order for rule '%s'; is it range-restricted?",
           rule.ToString().c_str()));
     }
+    MAD_ASSIGN_OR_RETURN(CompiledSubgoal step,
+                         CompileStep(body[pick], slots, &bound));
     done[pick] = true;
     --remaining;
     schedule.push_back(std::move(step));
@@ -441,36 +351,29 @@ StatusOr<CompiledRule> CompileRule(const Rule& rule,
   out.source = &rule;
   SlotMap slots;
 
-  // Preference ranks per body subgoal (lower = earlier among ready ones).
-  // kHeuristic keeps the tiered scheduler (null ranks); kTextual ranks by
-  // source position; kPlanned overlays the static plan's order when it
-  // covers the body exactly, falling back to textual otherwise.
-  std::optional<std::vector<int>> pref;
-  if (mode != JoinOrderMode::kHeuristic) {
-    std::vector<int> ranks(rule.body.size());
-    for (size_t i = 0; i < ranks.size(); ++i) ranks[i] = static_cast<int>(i);
-    if (mode == JoinOrderMode::kPlanned && plan != nullptr) {
-      std::vector<int> order = plan->Order();
-      std::vector<bool> seen(rule.body.size(), false);
-      bool usable = order.size() == rule.body.size();
-      for (int idx : order) {
-        if (!usable) break;
-        if (idx < 0 || idx >= static_cast<int>(rule.body.size()) ||
-            seen[idx]) {
-          usable = false;
-          break;
-        }
-        seen[idx] = true;
+  // Preference ranks per body subgoal (lower = earlier among ready ones):
+  // source position, overlaid under kPlanned with the static plan's order
+  // when it covers the body exactly.
+  std::vector<int> pref(rule.body.size());
+  for (size_t i = 0; i < pref.size(); ++i) pref[i] = static_cast<int>(i);
+  if (mode == JoinOrderMode::kPlanned && plan != nullptr) {
+    std::vector<int> order = plan->Order();
+    std::vector<bool> seen(rule.body.size(), false);
+    bool usable = order.size() == rule.body.size();
+    for (int idx : order) {
+      if (!usable) break;
+      if (idx < 0 || idx >= static_cast<int>(rule.body.size()) || seen[idx]) {
+        usable = false;
+        break;
       }
-      if (usable) {
-        for (size_t pos = 0; pos < order.size(); ++pos) {
-          ranks[order[pos]] = static_cast<int>(pos);
-        }
+      seen[idx] = true;
+    }
+    if (usable) {
+      for (size_t pos = 0; pos < order.size(); ++pos) {
+        pref[order[pos]] = static_cast<int>(pos);
       }
     }
-    pref = std::move(ranks);
   }
-  const std::vector<int>* prefp = pref.has_value() ? &*pref : nullptr;
 
   // Compile the head first so head variables get low slot ids.
   out.head_pred = rule.head.pred;
@@ -481,7 +384,7 @@ StatusOr<CompiledRule> CompileRule(const Rule& rule,
     out.head_cost = slots.Compile(rule.head.args.back());
   }
 
-  MAD_ASSIGN_OR_RETURN(out.base, ScheduleBody(rule, &slots, {}, prefp));
+  MAD_ASSIGN_OR_RETURN(out.base, ScheduleBody(rule, &slots, {}, pref));
 
   // Drivers: one per positive/aggregate-inner occurrence. CDB occurrences
   // drive ordinary semi-naive rounds; LDB ones only fire when Engine::Update
@@ -497,7 +400,7 @@ StatusOr<CompiledRule> CompileRule(const Rule& rule,
       AtomSlots(d.seed, &bound);
       MAD_ASSIGN_OR_RETURN(
           d.rest,
-          ScheduleBody(rule, &slots, bound, prefp, static_cast<int>(i)));
+          ScheduleBody(rule, &slots, bound, pref, static_cast<int>(i)));
       out.drivers.push_back(std::move(d));
     } else if (sg.kind == Subgoal::Kind::kAggregate) {
       const AggregateSubgoal& agg = sg.aggregate;
@@ -527,7 +430,7 @@ StatusOr<CompiledRule> CompileRule(const Rule& rule,
         std::set<int> group_bound(d.grouping_slots.begin(),
                                   d.grouping_slots.end());
         MAD_ASSIGN_OR_RETURN(
-            d.rest, ScheduleBody(rule, &slots, group_bound, prefp));
+            d.rest, ScheduleBody(rule, &slots, group_bound, pref));
         out.drivers.push_back(std::move(d));
       }
     }

@@ -19,15 +19,11 @@ using datalog::Rule;
 using datalog::Value;
 
 /// How the scheduler picks among the safely-executable body subgoals. The
-/// safety (readiness) conditions are identical in every mode — only the
-/// preference among ready subgoals differs — so all three modes compute the
-/// same least model for monotone programs (certified by the planned-vs-
-/// textual differential gate); they differ only in work performed.
+/// safety (readiness) conditions are identical in both modes — only the
+/// preference among ready subgoals differs — so both compute the same least
+/// model for monotone programs (certified by the planned-vs-textual
+/// differential gate); they differ only in work performed.
 enum class JoinOrderMode {
-  /// Legacy greedy tiers: builtins first, then fully-bound negation, then
-  /// the positive atom with the most bound key positions, then ready
-  /// aggregates.
-  kHeuristic,
   /// The earliest safe subgoal in source order — the differential oracle.
   kTextual,
   /// Follow the static planner's per-rule QueryPlan order (analysis/plan).
@@ -38,7 +34,7 @@ enum class JoinOrderMode {
 /// compiled rules when mode == kPlanned; a rule without a usable plan falls
 /// back to textual preference.
 struct CompileOrder {
-  JoinOrderMode mode = JoinOrderMode::kHeuristic;
+  JoinOrderMode mode = JoinOrderMode::kPlanned;
   const analysis::plan::PlanReport* plans = nullptr;
 };
 
@@ -184,9 +180,10 @@ struct CompiledRule {
 /// exists — which range restriction rules out. `mode`/`plan` select the
 /// subgoal preference order (see JoinOrderMode); `plan`, when given, is the
 /// static QueryPlan for this rule and is only consulted under kPlanned.
+/// Without a usable plan every mode ranks subgoals textually.
 StatusOr<CompiledRule> CompileRule(
     const Rule& rule, const analysis::DependencyGraph& graph,
-    JoinOrderMode mode = JoinOrderMode::kHeuristic,
+    JoinOrderMode mode = JoinOrderMode::kPlanned,
     const analysis::plan::QueryPlan* plan = nullptr);
 
 /// Compiles every rule of `component` (in rule_indices order), stamping each

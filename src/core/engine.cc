@@ -7,7 +7,6 @@
 #include <queue>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "lattice/cost_domain.h"
 #include "util/string_util.h"
@@ -209,21 +208,12 @@ StatusOr<EvalResult> Engine::Run(Database edb) const {
   // Static join-order planning: one PlanReport per run, costed from the
   // live EDB relation sizes, consumed read-only by every CompileComponent
   // below (including concurrent same-depth pipelining).
-  CompileOrder order;
-  order.mode = options_.join_order;
   std::unique_ptr<analysis::plan::PlanReport> plans;
-  if (options_.join_order == JoinOrderMode::kPlanned) {
-    plans = std::make_unique<analysis::plan::PlanReport>(
-        analysis::plan::PlanProgram(
-            *program_, graph_,
-            analysis::plan::CardinalityEstimates::FromDatabase(*program_,
-                                                               result.db)));
-    order.plans = plans.get();
-  }
+  const CompileOrder order = JoinOrderFor(result.db, &plans);
 
   // Parallel evaluation applies to semi-naive fixpoints without provenance
   // (Provenance is single-writer). A pool of 1 would be pure overhead, so
-  // anything else stays on the untouched serial path.
+  // anything else runs the delta rounds without one.
   std::unique_ptr<ThreadPool> pool;
   if (options_.num_threads > 1 && options_.strategy == Strategy::kSemiNaive &&
       !options_.track_provenance) {
@@ -367,6 +357,22 @@ StatusOr<EvalResult> Engine::Run(Database edb) const {
   return result;
 }
 
+CompileOrder Engine::JoinOrderFor(
+    const Database& db,
+    std::unique_ptr<analysis::plan::PlanReport>* plans) const {
+  CompileOrder order;
+  order.mode = options_.join_order;
+  if (order.mode == JoinOrderMode::kPlanned) {
+    *plans = std::make_unique<analysis::plan::PlanReport>(
+        analysis::plan::PlanProgram(
+            *program_, graph_,
+            analysis::plan::CardinalityEstimates::FromDatabase(*program_,
+                                                               db)));
+    order.plans = plans->get();
+  }
+  return order;
+}
+
 Status Engine::RunComponent(const analysis::Component& component,
                             const CompileOrder& order, Database* db,
                             EvalStats* stats, Provenance* prov,
@@ -378,7 +384,8 @@ Status Engine::RunComponent(const analysis::Component& component,
     case Strategy::kNaive:
       return RunNaive(rules, db, stats, prov, guard, max_iterations);
     case Strategy::kSemiNaive:
-      return RunSemiNaive(rules, db, stats, prov, guard, max_iterations, pool);
+      return RunDeltaRounds(rules, db, stats, prov, guard, max_iterations,
+                            pool, /*seed=*/nullptr);
     case Strategy::kGreedy:
       return RunGreedy(component, rules, db, stats, prov, guard);
   }
@@ -389,10 +396,55 @@ Status Engine::RunComponent(const analysis::Component& component,
 // Merging
 // ---------------------------------------------------------------------------
 
-void Engine::MergeOneDerivation(const Derivation& d, Database* db,
-                                EvalStats* stats,
-                                std::map<int, std::vector<uint32_t>>* delta,
-                                Provenance* prov) const {
+namespace {
+
+void DedupeDelta(DeltaMap* delta) {
+  for (auto& [_, rows] : *delta) {
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  }
+}
+
+size_t DeltaSize(const DeltaMap& delta) {
+  size_t n = 0;
+  for (const auto& [_, rows] : delta) n += rows.size();
+  return n;
+}
+
+/// Charges a merged batch of `tuples` derivations to `guard`, then the
+/// database's footprint when memory is limited. Called after the batch is
+/// already safely in the database (any subset of derivations stays ⊑-below
+/// the least model under monotone T_P), so a trip loses no work.
+Status ChargeMerged(ResourceGuard* guard, int64_t tuples, const Database& db) {
+  if (!guard->active()) return Status::OK();
+  LimitKind k = guard->ChargeTuples(tuples);
+  if (k == LimitKind::kNone && guard->memory_limited()) {
+    k = guard->ChargeMemory(db.ApproxBytes());
+  }
+  if (k == LimitKind::kNone) return Status::OK();
+  return Status::ResourceExhausted(guard->Describe());
+}
+
+/// Insert-only maintenance is unsound once a merge raises the value of a
+/// predicate some rule consumes antitonically.
+Status CheckIncrease(const analysis::UpdateSafety& safety,
+                     const PredicateInfo* pred, Relation::MergeResult mr) {
+  if (mr == Relation::MergeResult::kIncreased && safety.IncreaseUnsafe(pred)) {
+    return Status::InvalidArgument(StrPrintf(
+        "incremental update raised the value of an existing '%s' key, but "
+        "a rule uses that value antitonically; recompute from scratch",
+        pred->name.c_str()));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Relation::MergeResult Engine::MergeOneDerivation(const Derivation& d,
+                                                 Database* db,
+                                                 EvalStats* stats,
+                                                 DeltaMap* delta,
+                                                 Provenance* prov) const {
   Relation* rel = db->FindMutable(d.pred);
   if (rel == nullptr) rel = db->GetOrCreate(d.pred);
   if (options_.epsilon > 0 && d.pred->has_cost) {
@@ -402,7 +454,7 @@ void Engine::MergeOneDerivation(const Derivation& d, Database* db,
       if ((joined.is_numeric() || joined.is_bool()) &&
           (cur->is_numeric() || cur->is_bool()) &&
           std::fabs(joined.AsDouble() - cur->AsDouble()) < options_.epsilon) {
-        return;  // converged within tolerance
+        return Relation::MergeResult::kUnchanged;  // converged within tolerance
       }
     }
   }
@@ -422,46 +474,22 @@ void Engine::MergeOneDerivation(const Derivation& d, Database* db,
     case Relation::MergeResult::kUnchanged:
       break;
   }
+  return mr;
 }
 
-Status Engine::MergeDerivations(
-    const std::vector<Derivation>& derivations, Database* db,
-    EvalStats* stats, std::map<int, std::vector<uint32_t>>* delta,
-    Provenance* prov, ResourceGuard* guard) const {
+Status Engine::MergeDerivations(const std::vector<Derivation>& derivations,
+                                Database* db, EvalStats* stats,
+                                DeltaMap* delta, Provenance* prov,
+                                ResourceGuard* guard,
+                                const analysis::UpdateSafety* safety) const {
   for (const Derivation& d : derivations) {
-    MergeOneDerivation(d, db, stats, delta, prov);
-  }
-  // Charge after merging: the batch is already safely in the database (any
-  // subset of derivations stays ⊑-below the least model under monotone T_P),
-  // so a trip loses no work.
-  if (guard->active()) {
-    LimitKind k = guard->ChargeTuples(static_cast<int64_t>(derivations.size()));
-    if (k == LimitKind::kNone && guard->memory_limited()) {
-      k = guard->ChargeMemory(db->ApproxBytes());
-    }
-    if (k != LimitKind::kNone) {
-      return Status::ResourceExhausted(guard->Describe());
+    Relation::MergeResult mr = MergeOneDerivation(d, db, stats, delta, prov);
+    if (safety != nullptr) {
+      MAD_RETURN_IF_ERROR(CheckIncrease(*safety, d.pred, mr));
     }
   }
-  return Status::OK();
+  return ChargeMerged(guard, static_cast<int64_t>(derivations.size()), *db);
 }
-
-namespace {
-
-void DedupeDelta(std::map<int, std::vector<uint32_t>>* delta) {
-  for (auto& [_, rows] : *delta) {
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  }
-}
-
-size_t DeltaSize(const std::map<int, std::vector<uint32_t>>& delta) {
-  size_t n = 0;
-  for (const auto& [_, rows] : delta) n += rows.size();
-  return n;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Naive: J <- T_P(J, I) until fixpoint
@@ -473,18 +501,16 @@ Status Engine::RunNaive(const std::vector<CompiledRule>& rules, Database* db,
   RuleExecutor exec(db);
   if (guard->active()) exec.set_guard(guard);
   std::vector<Derivation> buffer;
-  // Unwinds on a tripped limit, keeping the stats coherent for the partial
-  // run (Engine::Run decides whether the result is certifiable).
+  // Ends the fixpoint short of its least model (iteration cap or a tripped
+  // limit), keeping the stats coherent for the partial run (Engine::Run
+  // decides whether the result is certifiable).
   auto stop = [&](Status st) {
     stats->subgoal_evals = exec.subgoal_evals();
     stats->reached_fixpoint = false;
     return st;
   };
   while (true) {
-    if (stats->iterations >= max_iterations) {
-      stats->reached_fixpoint = false;
-      return Status::OK();
-    }
+    if (stats->iterations >= max_iterations) return stop(Status::OK());
     if (guard->ChargeRound(stats->iterations + 1) != LimitKind::kNone) {
       return stop(Status::ResourceExhausted(guard->Describe()));
     }
@@ -512,7 +538,7 @@ Status Engine::RunNaive(const std::vector<CompiledRule>& rules, Database* db,
       }
     }
 
-    std::map<int, std::vector<uint32_t>> delta;
+    DeltaMap delta;
     Status st = MergeDerivations(buffer, db, stats, &delta, prov, guard);
     if (st.code() == StatusCode::kResourceExhausted) return stop(st);
     MAD_RETURN_IF_ERROR(st);
@@ -525,90 +551,25 @@ Status Engine::RunNaive(const std::vector<CompiledRule>& rules, Database* db,
 // ---------------------------------------------------------------------------
 // Semi-naive: delta-driven rounds
 // ---------------------------------------------------------------------------
-
-Status Engine::RunSemiNaive(const std::vector<CompiledRule>& rules,
-                            Database* db, EvalStats* stats, Provenance* prov,
-                            ResourceGuard* guard, int64_t max_iterations,
-                            ThreadPool* pool) const {
-  if (pool != nullptr && pool->num_participants() > 1 && prov == nullptr) {
-    return RunSemiNaiveParallel(rules, db, stats, guard, max_iterations, pool);
-  }
-  RuleExecutor exec(db);
-  if (guard->active()) exec.set_guard(guard);
-  std::vector<Derivation> buffer;
-  std::map<int, std::vector<uint32_t>> delta;
-  auto stop = [&](Status st) {
-    stats->subgoal_evals = exec.subgoal_evals();
-    stats->reached_fixpoint = false;
-    return st;
-  };
-
-  // Round 0: full evaluation against the (empty-CDB) initial interpretation;
-  // the default extensions J_∅ are synthesized by the executor.
-  if (guard->ChargeRound(1) != LimitKind::kNone) {
-    return stop(Status::ResourceExhausted(guard->Describe()));
-  }
-  ++stats->iterations;
-  for (const CompiledRule& rule : rules) {
-    ++stats->rule_evaluations;
-    buffer.clear();
-    exec.RunBase(rule, &buffer);
-    stats->derivations += static_cast<int64_t>(buffer.size());
-    Status st = MergeDerivations(buffer, db, stats, &delta, prov, guard);
-    if (st.code() == StatusCode::kResourceExhausted) return stop(st);
-    MAD_RETURN_IF_ERROR(st);
-  }
-
-  while (DeltaSize(delta) > 0) {
-    if (stats->iterations >= max_iterations) {
-      stats->reached_fixpoint = false;
-      return Status::OK();
-    }
-    if (guard->ChargeRound(stats->iterations + 1) != LimitKind::kNone) {
-      return stop(Status::ResourceExhausted(guard->Describe()));
-    }
-    ++stats->iterations;
-    DedupeDelta(&delta);
-    std::map<int, std::vector<uint32_t>> next_delta;
-    for (const CompiledRule& rule : rules) {
-      for (const DriverVariant& driver : rule.drivers) {
-        auto it = delta.find(driver.delta_pred->id);
-        if (it == delta.end()) continue;
-        const Relation* rel = db->Find(driver.delta_pred);
-        for (uint32_t row : it->second) {
-          ++stats->rule_evaluations;
-          buffer.clear();
-          // Current cost (possibly fresher than at delta-recording time —
-          // monotonicity makes that harmless).
-          exec.RunDriver(rule, driver, rel->key_at(row), rel->cost_at(row),
-                         &buffer);
-          stats->derivations += static_cast<int64_t>(buffer.size());
-          Status st =
-              MergeDerivations(buffer, db, stats, &next_delta, prov, guard);
-          if (st.code() == StatusCode::kResourceExhausted) return stop(st);
-          MAD_RETURN_IF_ERROR(st);
-        }
-      }
-    }
-    delta = std::move(next_delta);
-  }
-  stats->subgoal_evals = exec.subgoal_evals();
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Parallel semi-naive: phased fan-out / sharded merge
-// ---------------------------------------------------------------------------
 //
-// Soundness rests on two facts. (1) Relation::Merge is the lattice join, and
-// joins commute and associate, so the set of derivations produced by a round
-// can be folded into the database in any order — including split across
-// shard owners — without changing the resulting interpretation (Tarski's
-// theorem makes the least fixpoint unique regardless of the T_P application
-// schedule). (2) Rounds are strictly phased: every executor of a fan-out
-// phase reads the database frozen at the end of the previous merge phase.
-// The serial evaluator lets later rules see earlier rules' merges within a
-// round; phasing drops that intra-round visibility, but any derivation
+// One loop computes every semi-naive fixpoint: Run's components at any thread
+// count, and Update's delta closure. Only the merge batch varies, and the
+// pool it is given fixes it.
+//
+// Without a pool (or with one participant, or with provenance, which is
+// single-writer) a batch is one work item — one rule's base evaluation in
+// round 0, one (rule, driver, delta-row) triple after — merged as soon as it
+// is evaluated, so later items of a round see earlier items' merges.
+//
+// With P > 1 participants a batch is the whole round, and rounds are strictly
+// phased. Soundness rests on two facts. (1) Relation::Merge is the lattice
+// join, and joins commute and associate, so the set of derivations produced
+// by a round can be folded into the database in any order — including split
+// across shard owners — without changing the resulting interpretation
+// (Tarski's theorem makes the least fixpoint unique regardless of the T_P
+// application schedule). (2) Every executor of a fan-out phase reads the
+// database frozen at the end of the previous merge phase. Phasing drops the
+// intra-round visibility the per-item schedule has, but any derivation
 // thereby missed is recovered through the delta drivers of a later round —
 // the fixpoint, and hence Database::ToString(), is identical.
 //
@@ -617,18 +578,23 @@ Status Engine::RunSemiNaive(const std::vector<CompiledRule>& rules,
 // per-relation locks, and delta membership (row ∈ delta iff the join
 // strictly raised the stored value) is independent of merge order.
 
-Status Engine::RunSemiNaiveParallel(const std::vector<CompiledRule>& rules,
-                                    Database* db, EvalStats* stats,
-                                    ResourceGuard* guard,
-                                    int64_t max_iterations,
-                                    ThreadPool* pool) const {
-  const int participants = pool->num_participants();
+Status Engine::RunDeltaRounds(const std::vector<CompiledRule>& rules,
+                              Database* db, EvalStats* stats, Provenance* prov,
+                              ResourceGuard* guard, int64_t max_iterations,
+                              ThreadPool* pool,
+                              const IncrementalSeed* seed) const {
+  const analysis::UpdateSafety* safety =
+      seed != nullptr ? seed->safety : nullptr;
+  // Provenance and the increase check are per-item merge steps.
+  const bool phased = pool != nullptr && pool->num_participants() > 1 &&
+                      prov == nullptr && safety == nullptr;
+  const int participants = phased ? pool->num_participants() : 1;
   const int shards = participants;  // shard key: pred->id % shards
 
   struct WorkerCtx {
     std::unique_ptr<RuleExecutor> exec;
-    std::vector<Derivation> buffer;  ///< fan-out scratch, scattered per item
-    std::vector<std::vector<Derivation>> by_shard;
+    std::vector<Derivation> buffer;  ///< one item's derivations
+    std::vector<std::vector<Derivation>> by_shard;  ///< phased: per shard
     int64_t rule_evaluations = 0;
     int64_t derivations = 0;
   };
@@ -636,39 +602,27 @@ Status Engine::RunSemiNaiveParallel(const std::vector<CompiledRule>& rules,
   for (WorkerCtx& c : ctxs) {
     c.exec = std::make_unique<RuleExecutor>(db);
     if (guard->active()) c.exec->set_guard(guard);
-    c.by_shard.resize(shards);
+    c.by_shard.resize(phased ? shards : 0);
   }
 
   // Scan patterns this component's schedules can issue; forced before every
-  // fan-out so concurrent scans find complete indexes under the shared lock.
+  // phased fan-out so concurrent scans find complete indexes under the
+  // shared lock.
   std::vector<ScanPattern> patterns;
-  for (const CompiledRule& rule : rules) CollectScanPatterns(rule, &patterns);
-  std::sort(patterns.begin(), patterns.end());
-  patterns.erase(std::unique(patterns.begin(), patterns.end()),
-                 patterns.end());
-  auto force_indexes = [&]() {
-    for (const ScanPattern& p : patterns) {
-      const Relation* rel = db->Find(p.first);
-      if (rel != nullptr) rel->ForceIndex(p.second);
-    }
-  };
+  if (phased) {
+    for (const CompiledRule& rule : rules) CollectScanPatterns(rule, &patterns);
+    std::sort(patterns.begin(), patterns.end());
+    patterns.erase(std::unique(patterns.begin(), patterns.end()),
+                   patterns.end());
+  }
 
-  auto scatter = [&](WorkerCtx& c) {
-    for (Derivation& d : c.buffer) {
-      c.by_shard[d.pred->id % shards].push_back(std::move(d));
-    }
-    c.derivations += static_cast<int64_t>(c.buffer.size());
-    c.buffer.clear();
-  };
-
-  // Merge phase: shard s folds every worker's bin s into the database.
+  // Phased merge: shard s folds every worker's bin s into the database.
   // Workers are visited in participant order for cache-friendly streaming;
   // the order is irrelevant to the outcome (joins commute).
-  auto merge_phase =
-      [&](std::map<int, std::vector<uint32_t>>* out_delta) -> Status {
+  auto merge_phase = [&](DeltaMap* out_delta) -> Status {
     struct ShardOut {
       EvalStats stats;
-      std::map<int, std::vector<uint32_t>> delta;
+      DeltaMap delta;
     };
     std::vector<ShardOut> outs(shards);
     pool->ParallelFor(shards, [&](int, int64_t s) {
@@ -694,56 +648,82 @@ Status Engine::RunSemiNaiveParallel(const std::vector<CompiledRule>& rules,
         (*out_delta)[pred_id] = std::move(rows);
       }
     }
-    // Charge after merging, like the serial path: the batch is already
-    // safely in the database, so a trip loses no work.
-    if (guard->active()) {
-      LimitKind k = guard->ChargeTuples(batch);
-      if (k == LimitKind::kNone && guard->memory_limited()) {
-        k = guard->ChargeMemory(db->ApproxBytes());
-      }
-      if (k != LimitKind::kNone) {
-        return Status::ResourceExhausted(guard->Describe());
-      }
-    }
-    return Status::OK();
+    return ChargeMerged(guard, batch, *db);
   };
 
-  auto drain_ctx_stats = [&]() {
+  // Evaluates `count` work items — `eval(exec, i, buffer)` appends item i's
+  // derivations to `buffer` — and merges them, one batch per item or one
+  // per round, appending changed rows to `out`.
+  auto run_items = [&](int64_t count, const auto& eval,
+                       DeltaMap* out) -> Status {
+    if (!phased) {
+      WorkerCtx& c = ctxs[0];
+      for (int64_t i = 0; i < count; ++i) {
+        ++c.rule_evaluations;
+        c.buffer.clear();
+        eval(*c.exec, i, &c.buffer);
+        c.derivations += static_cast<int64_t>(c.buffer.size());
+        MAD_RETURN_IF_ERROR(
+            MergeDerivations(c.buffer, db, stats, out, prov, guard, safety));
+      }
+      return Status::OK();
+    }
+    for (const ScanPattern& p : patterns) {
+      const Relation* rel = db->Find(p.first);
+      if (rel != nullptr) rel->ForceIndex(p.second);
+    }
+    pool->ParallelFor(count, [&](int p, int64_t i) {
+      WorkerCtx& c = ctxs[p];
+      ++c.rule_evaluations;
+      eval(*c.exec, i, &c.buffer);
+      for (Derivation& d : c.buffer) {
+        c.by_shard[d.pred->id % shards].push_back(std::move(d));
+      }
+      c.derivations += static_cast<int64_t>(c.buffer.size());
+      c.buffer.clear();
+    });
+    return merge_phase(out);
+  };
+
+  // Every exit goes through here: the workers' counters are drained, and a
+  // fixpoint cut short by an error is marked as such.
+  auto finish = [&](Status st) -> Status {
     for (WorkerCtx& c : ctxs) {
       stats->rule_evaluations += c.rule_evaluations;
       stats->derivations += c.derivations;
       stats->subgoal_evals += c.exec->subgoal_evals();
     }
-  };
-  auto stop = [&](Status st) {
-    drain_ctx_stats();
-    stats->reached_fixpoint = false;
+    if (!st.ok()) stats->reached_fixpoint = false;
     return st;
   };
+  int64_t rounds = 0;  // this fixpoint's rounds, the unit ChargeRound caps
+  auto open_round = [&]() -> Status {
+    if (guard->ChargeRound(++rounds) != LimitKind::kNone) {
+      return Status::ResourceExhausted(guard->Describe());
+    }
+    ++stats->iterations;
+    return Status::OK();
+  };
 
-  // Round 0: full evaluation of every rule against the (empty-CDB) initial
-  // interpretation, one rule per work item.
-  std::map<int, std::vector<uint32_t>> delta;
-  if (guard->ChargeRound(1) != LimitKind::kNone) {
-    return stop(Status::ResourceExhausted(guard->Describe()));
-  }
-  ++stats->iterations;
-  force_indexes();
-  pool->ParallelFor(static_cast<int64_t>(rules.size()),
-                    [&](int p, int64_t i) {
-                      WorkerCtx& c = ctxs[p];
-                      ++c.rule_evaluations;
-                      c.exec->RunBase(rules[i], &c.buffer);
-                      scatter(c);
-                    });
-  {
-    Status st = merge_phase(&delta);
-    if (st.code() == StatusCode::kResourceExhausted) return stop(st);
-    MAD_RETURN_IF_ERROR(st);
+  DeltaMap delta;
+  if (seed != nullptr) {
+    delta = *seed->changes;
+  } else {
+    // Round 0: full evaluation of every rule against the (empty-CDB) initial
+    // interpretation; the default extensions J_∅ are synthesized by the
+    // executor.
+    Status st = open_round();
+    if (st.ok()) {
+      st = run_items(
+          static_cast<int64_t>(rules.size()),
+          [&](RuleExecutor& exec, int64_t i, std::vector<Derivation>* out) {
+            exec.RunBase(rules[i], out);
+          },
+          &delta);
+    }
+    if (!st.ok()) return finish(st);
   }
 
-  // Delta rounds: the driver work of a round — every (rule, driver,
-  // delta-row) triple — is one flat item list fanned out across the pool.
   struct DriverItem {
     const CompiledRule* rule;
     const DriverVariant* driver;
@@ -753,14 +733,11 @@ Status Engine::RunSemiNaiveParallel(const std::vector<CompiledRule>& rules,
   std::vector<DriverItem> items;
   while (DeltaSize(delta) > 0) {
     if (stats->iterations >= max_iterations) {
-      drain_ctx_stats();
       stats->reached_fixpoint = false;
-      return Status::OK();
+      return finish(Status::OK());
     }
-    if (guard->ChargeRound(stats->iterations + 1) != LimitKind::kNone) {
-      return stop(Status::ResourceExhausted(guard->Describe()));
-    }
-    ++stats->iterations;
+    Status st = open_round();
+    if (!st.ok()) return finish(st);
     DedupeDelta(&delta);
     items.clear();
     for (const CompiledRule& rule : rules) {
@@ -773,29 +750,27 @@ Status Engine::RunSemiNaiveParallel(const std::vector<CompiledRule>& rules,
         }
       }
     }
-    force_indexes();
-    pool->ParallelFor(static_cast<int64_t>(items.size()),
-                      [&](int p, int64_t i) {
-                        WorkerCtx& c = ctxs[p];
-                        const DriverItem& item = items[i];
-                        ++c.rule_evaluations;
-                        // Current cost (possibly fresher than at
-                        // delta-recording time — monotonicity makes that
-                        // harmless).
-                        c.exec->RunDriver(*item.rule, *item.driver,
-                                          item.rel->key_at(item.row),
-                                          item.rel->cost_at(item.row),
-                                          &c.buffer);
-                        scatter(c);
-                      });
-    std::map<int, std::vector<uint32_t>> next_delta;
-    Status st = merge_phase(&next_delta);
-    if (st.code() == StatusCode::kResourceExhausted) return stop(st);
-    MAD_RETURN_IF_ERROR(st);
+    DeltaMap next_delta;
+    st = run_items(
+        static_cast<int64_t>(items.size()),
+        [&](RuleExecutor& exec, int64_t i, std::vector<Derivation>* out) {
+          const DriverItem& item = items[i];
+          // Current cost (possibly fresher than at delta-recording time —
+          // monotonicity makes that harmless).
+          exec.RunDriver(*item.rule, *item.driver, item.rel->key_at(item.row),
+                         item.rel->cost_at(item.row), out);
+        },
+        &next_delta);
+    if (!st.ok()) return finish(st);
+    if (seed != nullptr) {
+      for (const auto& [pred_id, rows] : next_delta) {
+        std::vector<uint32_t>& acc = (*seed->changes)[pred_id];
+        acc.insert(acc.end(), rows.begin(), rows.end());
+      }
+    }
     delta = std::move(next_delta);
   }
-  drain_ctx_stats();
-  return Status::OK();
+  return finish(Status::OK());
 }
 
 // ---------------------------------------------------------------------------
@@ -886,18 +861,9 @@ Status Engine::RunGreedy(const analysis::Component& component,
     // Greedy intermediate states are never certifiable (settled keys may
     // already sit above the least model), so this trip becomes a hard
     // ResourceExhausted at the Run level — but it must still stop the run.
-    if (guard->active()) {
-      LimitKind k =
-          guard->ChargeTuples(static_cast<int64_t>(buffer.size()));
-      if (k == LimitKind::kNone && guard->memory_limited()) {
-        k = guard->ChargeMemory(db->ApproxBytes());
-      }
-      if (k != LimitKind::kNone) {
-        stats->reached_fixpoint = false;
-        return Status::ResourceExhausted(guard->Describe());
-      }
-    }
-    return Status::OK();
+    Status st = ChargeMerged(guard, static_cast<int64_t>(buffer.size()), *db);
+    if (!st.ok()) stats->reached_fixpoint = false;
+    return st;
   };
 
   // Seed: full evaluation once.
@@ -974,20 +940,8 @@ StatusOr<EvalStats> Engine::Update(EvalResult* result,
     return stats;
   };
 
-  auto guard_increase = [&](const PredicateInfo* pred,
-                            Relation::MergeResult mr) -> Status {
-    if (mr == Relation::MergeResult::kIncreased &&
-        safety.IncreaseUnsafe(pred)) {
-      return Status::InvalidArgument(StrPrintf(
-          "incremental update raised the value of an existing '%s' key, but "
-          "a rule uses that value antitonically; recompute from scratch",
-          pred->name.c_str()));
-    }
-    return Status::OK();
-  };
-
   // Merge the new facts, recording the changed rows per predicate.
-  std::map<int, std::vector<uint32_t>> global_delta;
+  DeltaMap changes;
   for (const datalog::Fact& f : facts) {
     Relation* rel = result->db.GetOrCreate(f.pred);
     Value cost;
@@ -1000,111 +954,47 @@ StatusOr<EvalStats> Engine::Update(EvalResult* result,
     }
     uint32_t row = 0;
     Relation::MergeResult mr = rel->Merge(f.key, cost, &row);
-    MAD_RETURN_IF_ERROR(guard_increase(f.pred, mr));
-    if (mr != Relation::MergeResult::kUnchanged) {
-      global_delta[f.pred->id].push_back(row);
-      if (prov != nullptr) prov->Record(f.pred, row, Provenance::kEdbFact);
+    MAD_RETURN_IF_ERROR(CheckIncrease(safety, f.pred, mr));
+    if (mr == Relation::MergeResult::kUnchanged) continue;
+    changes[f.pred->id].push_back(row);
+    if (prov != nullptr) prov->Record(f.pred, row, Provenance::kEdbFact);
+    if (mr == Relation::MergeResult::kNew) {
       ++stats.merges_new;
+    } else {
+      ++stats.merges_increased;
     }
   }
 
-  RuleExecutor exec(&result->db);
-  if (guard.active()) exec.set_guard(&guard);
-  std::vector<Derivation> buffer;
-
-  // Update safety already guarantees full input-monotonicity, so a tripped
-  // limit always degrades gracefully: the database is ⊑-below the
-  // post-insert least model and the result is marked accordingly.
-  auto degrade = [&](int component_index) -> EvalStats {
-    stats.reached_fixpoint = false;
-    stats.limit_tripped = guard.tripped();
-    stats.subgoal_evals = exec.subgoal_evals();
-    result->completeness = Completeness::kUnderApproximation;
-    result->limit_tripped = guard.tripped();
-    result->tripped_component = component_index;
-    return finish();
-  };
-
   // Plan join orders against the post-insert database (incremental deltas
   // see the same relation shapes batch evaluation would).
-  CompileOrder order;
-  order.mode = options_.join_order;
   std::unique_ptr<analysis::plan::PlanReport> plans;
-  if (options_.join_order == JoinOrderMode::kPlanned) {
-    plans = std::make_unique<analysis::plan::PlanReport>(
-        analysis::plan::PlanProgram(
-            *program_, graph_,
-            analysis::plan::CardinalityEstimates::FromDatabase(*program_,
-                                                               result->db)));
-    order.plans = plans.get();
-  }
+  const CompileOrder order = JoinOrderFor(result->db, &plans);
 
+  // Each component's rounds start from everything changed so far (EDB
+  // inserts + lower components) and append what they change for the
+  // components above. Derived increases on unsafe predicates are just as
+  // unsound as inserted ones, so the merges check them too.
+  const IncrementalSeed seed{&changes, &safety};
   for (const analysis::Component& component : graph_.components()) {
     if (component.rule_indices.empty()) continue;
     MAD_ASSIGN_OR_RETURN(std::vector<CompiledRule> rules,
                          CompileComponent(*program_, component, graph_, order));
-    // Seed with everything changed so far (EDB inserts + lower components),
-    // then run delta rounds; changes feed both the next round and the
-    // global delta consumed by higher components.
-    std::map<int, std::vector<uint32_t>> delta = global_delta;
-    int64_t component_rounds = 0;
-    while (DeltaSize(delta) > 0) {
-      if (stats.iterations >= options_.max_iterations) {
-        stats.reached_fixpoint = false;
-        return finish();
-      }
-      if (guard.ChargeRound(++component_rounds) != LimitKind::kNone) {
-        return degrade(component.index);
-      }
-      ++stats.iterations;
-      DedupeDelta(&delta);
-      std::map<int, std::vector<uint32_t>> next_delta;
-      for (const CompiledRule& rule : rules) {
-        for (const DriverVariant& driver : rule.drivers) {
-          auto it = delta.find(driver.delta_pred->id);
-          if (it == delta.end()) continue;
-          const Relation* rel = result->db.Find(driver.delta_pred);
-          for (uint32_t row : it->second) {
-            ++stats.rule_evaluations;
-            buffer.clear();
-            exec.RunDriver(rule, driver, rel->key_at(row),
-                           rel->cost_at(row), &buffer);
-            stats.derivations += static_cast<int64_t>(buffer.size());
-            // Merge with the increase guard (derived increases on unsafe
-            // predicates are just as unsound as inserted ones).
-            for (const Derivation& d : buffer) {
-              Relation* target = result->db.GetOrCreate(d.pred);
-              uint32_t drow = 0;
-              Relation::MergeResult mr = target->Merge(d.key, d.cost, &drow);
-              MAD_RETURN_IF_ERROR(guard_increase(d.pred, mr));
-              if (mr == Relation::MergeResult::kUnchanged) continue;
-              if (mr == Relation::MergeResult::kNew) {
-                ++stats.merges_new;
-              } else {
-                ++stats.merges_increased;
-              }
-              next_delta[d.pred->id].push_back(drow);
-              if (prov != nullptr) prov->Record(d.pred, drow, d.rule_index);
-            }
-            if (guard.active()) {
-              LimitKind k =
-                  guard.ChargeTuples(static_cast<int64_t>(buffer.size()));
-              if (k == LimitKind::kNone && guard.memory_limited()) {
-                k = guard.ChargeMemory(result->db.ApproxBytes());
-              }
-              if (k != LimitKind::kNone) return degrade(component.index);
-            }
-          }
-        }
-      }
-      for (const auto& [pred_id, rows] : next_delta) {
-        auto& acc = global_delta[pred_id];
-        acc.insert(acc.end(), rows.begin(), rows.end());
-      }
-      delta = std::move(next_delta);
+    Status st = RunDeltaRounds(rules, &result->db, &stats, prov, &guard,
+                               options_.max_iterations, /*pool=*/nullptr,
+                               &seed);
+    if (st.code() == StatusCode::kResourceExhausted) {
+      // Update safety already guarantees full input-monotonicity, so a
+      // tripped limit always degrades gracefully: the database is ⊑-below
+      // the post-insert least model and the result is marked accordingly.
+      stats.limit_tripped = guard.tripped();
+      result->completeness = Completeness::kUnderApproximation;
+      result->limit_tripped = guard.tripped();
+      result->tripped_component = component.index;
+      return finish();
     }
+    MAD_RETURN_IF_ERROR(st);
+    if (!stats.reached_fixpoint) return finish();  // iteration cap
   }
-  stats.subgoal_evals = exec.subgoal_evals();
   return finish();
 }
 

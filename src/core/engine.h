@@ -26,6 +26,9 @@ namespace core {
 using datalog::Database;
 using datalog::Program;
 
+/// Changed row ids per predicate id: one semi-naive delta.
+using DeltaMap = std::map<int, std::vector<uint32_t>>;
+
 /// How a component's least fixpoint is computed (Section 6.2).
 enum class Strategy {
   /// Literal iteration J <- T_P(J, I): every rule fully re-evaluated each
@@ -67,25 +70,28 @@ struct EvalOptions {
   /// partial result or an error depends on the component — see Completeness.
   ResourceLimits limits = {};
   /// Evaluation parallelism: number of pool participants (the calling
-  /// thread plus num_threads-1 workers). 1 (default) runs the untouched
-  /// serial code path. With >1, semi-naive rounds partition their
-  /// (rule × delta-row) driver work across the pool and merge through
-  /// predicate-sharded owners, and independent same-depth components
-  /// pipeline concurrently. Sound for any monotone program: Relation::Merge
-  /// is a lattice join, so derivation batches commute and the least model —
-  /// hence Database::ToString() — is identical for every thread count
-  /// (Tarski; see DESIGN.md "Parallel evaluation"). Ignored (serial
-  /// fallback) for the naive/greedy strategies, whose semantics are
-  /// order-sensitive, and when track_provenance is set.
+  /// thread plus num_threads-1 workers). Every semi-naive fixpoint runs the
+  /// same round loop; the pool only sets its merge batch. With 1 (default)
+  /// there is no pool and a batch is one work item (one rule in round 0,
+  /// one (rule, driver, delta-row) triple after), merged as soon as it is
+  /// evaluated. With >1 a batch is the whole round: its items fan out over
+  /// the pool against a frozen database and predicate-sharded owners merge
+  /// them, and independent same-depth components pipeline concurrently.
+  /// Sound for any monotone program: Relation::Merge is a lattice join, so
+  /// derivation batches commute and the least model — hence
+  /// Database::ToString() — is identical for every thread count (Tarski;
+  /// see DESIGN.md "Parallel evaluation"). Ignored (no pool) for the
+  /// naive/greedy strategies, whose semantics are order-sensitive, and
+  /// when track_provenance is set.
   int num_threads = 1;
   /// Body join order (see core/compiled_rule.h). kPlanned (default) follows
   /// the static planner's per-rule order, costed at Run()/Update() entry
   /// from the live EDB relation sizes; kTextual evaluates subgoals in
-  /// source order (the differential oracle); kHeuristic is the pre-planner
-  /// greedy most-bound-first scheduler. Safety conditions are identical in
-  /// every mode, so the least model — hence Database::ToString() — is
-  /// byte-identical across modes for monotone programs (certified by the
-  /// plan differential gate); only the work to reach it changes.
+  /// source order (the differential oracle). Safety conditions are
+  /// identical in both modes, so the least model — hence
+  /// Database::ToString() — is byte-identical across modes for monotone
+  /// programs (certified by the plan differential gate); only the work to
+  /// reach it changes.
   JoinOrderMode join_order = JoinOrderMode::kPlanned;
 };
 
@@ -282,11 +288,17 @@ class Engine {
       const analysis::demand::DemandPattern& pattern,
       std::string* bailout_reason) const;
 
+  /// The join-order directive for one Run/Update: under kPlanned, a static
+  /// plan costed from `db`'s live relation sizes, owned by `*plans`.
+  CompileOrder JoinOrderFor(
+      const Database& db,
+      std::unique_ptr<analysis::plan::PlanReport>* plans) const;
+
   /// `max_iterations` is the effective per-component round cap: the global
   /// EvalOptions::max_iterations, or — for components whose certificate
   /// proves bounded chains — the smaller certificate-derived bound (see
-  /// BoundedChainRoundCap in engine.cc). `pool` (nullable) enables parallel
-  /// semi-naive rounds.
+  /// BoundedChainRoundCap in engine.cc). `pool` (nullable) makes semi-naive
+  /// rounds phased.
   Status RunComponent(const analysis::Component& component,
                       const CompileOrder& order, Database* db,
                       EvalStats* stats, Provenance* prov, ResourceGuard* guard,
@@ -294,18 +306,28 @@ class Engine {
   Status RunNaive(const std::vector<CompiledRule>& rules, Database* db,
                   EvalStats* stats, Provenance* prov, ResourceGuard* guard,
                   int64_t max_iterations) const;
-  Status RunSemiNaive(const std::vector<CompiledRule>& rules, Database* db,
-                      EvalStats* stats, Provenance* prov, ResourceGuard* guard,
-                      int64_t max_iterations, ThreadPool* pool) const;
-  /// Parallel semi-naive: rounds are strictly phased — a fan-out phase runs
-  /// (rule × delta-row) driver work on per-participant executors against a
-  /// frozen database, then a merge phase shards the buffered derivations by
-  /// predicate id so each relation has exactly one writer. Never tracks
-  /// provenance (Engine::Run falls back to serial instead).
-  Status RunSemiNaiveParallel(const std::vector<CompiledRule>& rules,
-                              Database* db, EvalStats* stats,
-                              ResourceGuard* guard, int64_t max_iterations,
-                              ThreadPool* pool) const;
+
+  /// What Engine::Update adds to a semi-naive fixpoint. `changes` holds the
+  /// rows changed so far: they seed the first round in place of round 0,
+  /// and every round appends the rows it changes. A merge that raises the
+  /// value of a predicate `safety` marks increase-unsafe fails the update.
+  struct IncrementalSeed {
+    DeltaMap* changes = nullptr;
+    const analysis::UpdateSafety* safety = nullptr;
+  };
+
+  /// The semi-naive fixpoint (Section 6.2) for Run and Update alike: round
+  /// 0 evaluates every rule's base schedule (skipped when `seed` is given),
+  /// then delta rounds run every (rule, driver, delta-row) item until a
+  /// round changes nothing, at most `max_iterations` rounds in all of
+  /// `stats`. A pool with more than one participant makes each round one
+  /// merge batch (phased fan-out on a frozen database, predicate-sharded
+  /// merge); otherwise each item is its own batch, merged immediately.
+  /// Provenance and `seed`'s increase check force the per-item batch.
+  Status RunDeltaRounds(const std::vector<CompiledRule>& rules, Database* db,
+                        EvalStats* stats, Provenance* prov,
+                        ResourceGuard* guard, int64_t max_iterations,
+                        ThreadPool* pool, const IncrementalSeed* seed) const;
   Status RunGreedy(const analysis::Component& component,
                    const std::vector<CompiledRule>& rules, Database* db,
                    EvalStats* stats, Provenance* prov,
@@ -313,22 +335,26 @@ class Engine {
 
   /// Lattice-merges one derivation into `db`, updating `stats` counters and
   /// appending the changed row (if any) to `delta`. The single-writer
-  /// building block shared by the serial batch path and the sharded
-  /// parallel merge.
-  void MergeOneDerivation(const Derivation& d, Database* db, EvalStats* stats,
-                          std::map<int, std::vector<uint32_t>>* delta,
-                          Provenance* prov) const;
+  /// building block shared by the per-item batch and the sharded phased
+  /// merge.
+  datalog::Relation::MergeResult MergeOneDerivation(const Derivation& d,
+                                                    Database* db,
+                                                    EvalStats* stats,
+                                                    DeltaMap* delta,
+                                                    Provenance* prov) const;
 
   /// Merges buffered derivations; returns changed row ids per predicate.
   /// `delta` maps predicate id -> row ids changed by this merge batch.
   /// `prov` (nullable) records the producing rule per changed row.
   /// The whole batch is merged *before* `guard` is charged — partial work is
   /// kept (sound under monotonicity) and a trip surfaces as
-  /// Status::ResourceExhausted for the strategy loop to unwind.
+  /// Status::ResourceExhausted for the strategy loop to unwind. `safety`
+  /// (nullable) rejects increases on increase-unsafe predicates
+  /// (Engine::Update).
   Status MergeDerivations(const std::vector<Derivation>& derivations,
-                          Database* db, EvalStats* stats,
-                          std::map<int, std::vector<uint32_t>>* delta,
-                          Provenance* prov, ResourceGuard* guard) const;
+                          Database* db, EvalStats* stats, DeltaMap* delta,
+                          Provenance* prov, ResourceGuard* guard,
+                          const analysis::UpdateSafety* safety = nullptr) const;
 
   const Program* program_;
   EvalOptions options_;

@@ -75,6 +75,31 @@ TEST(IncrementalTest, UpdateReportsWallTime) {
   EXPECT_GT(result->stats.wall_seconds, batch_seconds);
 }
 
+TEST(IncrementalTest, RaisedEdbValueCountsAsIncrease) {
+  // arc(a, b) already holds 5; inserting 2 raises it in min_real's order.
+  // Every merge of this update raises an existing key (arc, path, s) and
+  // none adds one.
+  auto program = datalog::ParseProgram(
+      std::string(workloads::kShortestPathProgram) + "arc(a, b, 5).\n");
+  ASSERT_TRUE(program.ok()) << program.status();
+  Engine engine(*program);
+  auto result = engine.Run();
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  Fact raise;
+  raise.pred = program->FindPredicate("arc");
+  raise.key = {Value::Symbol("a"), Value::Symbol("b")};
+  raise.cost = Value::Real(2.0);
+  auto ustats = engine.Update(&result.value(), {raise});
+  ASSERT_TRUE(ustats.ok()) << ustats.status();
+  EXPECT_EQ(ustats->merges_new, 0);
+  EXPECT_EQ(ustats->merges_increased, 3);
+  auto s_ab = LookupCost(*program, result->db, "s",
+                         {Value::Symbol("a"), Value::Symbol("b")});
+  ASSERT_TRUE(s_ab.has_value());
+  EXPECT_EQ(s_ab->AsDouble(), 2.0);
+}
+
 class IncrementalSeedTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalSeedTest, ArcByArcEqualsBatch) {

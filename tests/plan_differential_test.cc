@@ -74,12 +74,6 @@ void ExpectPlanInvariant(const Program& program, const Database& edb,
     EXPECT_EQ(t->stats.merges_new, p->stats.merges_new)
         << label << " threads=" << threads;
   }
-
-  // The legacy greedy-tier heuristic must agree too — three modes, one model.
-  Engine heuristic(program, Opts(JoinOrderMode::kHeuristic, 1));
-  auto h = heuristic.Run(edb.Clone());
-  ASSERT_TRUE(h.ok()) << label << ": heuristic run failed: " << h.status();
-  EXPECT_EQ(t->db.ToString(), h->db.ToString()) << label;
 }
 
 // ---------------------------------------------------------------------------
