@@ -81,7 +81,7 @@ BENCHMARK(BM_InferTypes)->RangeMultiplier(4)->Range(8, 512);
 
 // ---------------------------------------------------------------------------
 // Evaluation under the two join-order modes: same least model (certified
-// by plan_differential_test), different work. The per-mode subgoal_evals
+// by tests/differential_test.cc), different work. The per-mode subgoal_evals
 // counter is the model-independent work metric.
 // ---------------------------------------------------------------------------
 

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "server/client.h"
+#include "util/string_util.h"
 
 using namespace mad;
 
@@ -88,12 +89,8 @@ bool ParseEndpoint(const std::string& text, Endpoint* out) {
   const size_t colon = text.rfind(':');
   if (colon == std::string::npos || colon == 0) return false;
   out->host = text.substr(0, colon);
-  try {
-    out->port = static_cast<int>(std::stol(text.substr(colon + 1)));
-  } catch (...) {
-    return false;
-  }
-  return out->port > 0 && out->port <= 65535;
+  return ParseNumber(std::string_view(text).substr(colon + 1), &out->port) &&
+         out->port > 0 && out->port <= 65535;
 }
 
 /// CLI argument -> JSON request value, mirroring the server's JsonToValue
@@ -133,20 +130,26 @@ int main(int argc, char** argv) {
     if (arg.rfind("--host=", 0) == 0) {
       host = arg.substr(7);
     } else if (arg.rfind("--port=", 0) == 0) {
-      port = static_cast<int>(std::stol(arg.substr(7)));
+      if (!ParseNumber(std::string_view(arg).substr(7), &port)) return Usage();
     } else if (arg.rfind("--retries=", 0) == 0) {
-      retries = static_cast<int>(std::stol(arg.substr(10)));
-      if (retries < 1) return Usage();
+      if (!ParseNumber(std::string_view(arg).substr(10), &retries) ||
+          retries < 1) {
+        return Usage();
+      }
     } else if (arg.rfind("--endpoint=", 0) == 0) {
       Endpoint ep;
       if (!ParseEndpoint(arg.substr(11), &ep)) return Usage();
       endpoints.push_back(ep);
     } else if (arg.rfind("--min-epoch=", 0) == 0) {
-      min_epoch = std::stoll(arg.substr(12));
-      if (min_epoch < 0) return Usage();
+      if (!ParseNumber(std::string_view(arg).substr(12), &min_epoch) ||
+          min_epoch < 0) {
+        return Usage();
+      }
     } else if (arg.rfind("--min-epoch-wait-ms=", 0) == 0) {
-      min_epoch_wait_ms = std::stoll(arg.substr(20));
-      if (min_epoch_wait_ms < 0) return Usage();
+      if (!ParseNumber(std::string_view(arg).substr(20), &min_epoch_wait_ms) ||
+          min_epoch_wait_ms < 0) {
+        return Usage();
+      }
     } else if (arg.rfind("--mode=", 0) == 0) {
       mode = arg.substr(7);
       if (mode != "auto" && mode != "demand" && mode != "full") {

@@ -55,6 +55,7 @@
 
 #include "server/replication/replicator.h"
 #include "server/server.h"
+#include "util/string_util.h"
 
 using namespace mad;
 
@@ -78,12 +79,8 @@ bool ParseEndpoint(const std::string& text, std::string* host, int* port) {
   const size_t colon = text.rfind(':');
   if (colon == std::string::npos || colon == 0) return false;
   *host = text.substr(0, colon);
-  try {
-    *port = static_cast<int>(std::stol(text.substr(colon + 1)));
-  } catch (...) {
-    return false;
-  }
-  return *port > 0 && *port <= 65535;
+  return ParseNumber(std::string_view(text).substr(colon + 1), port) &&
+         *port > 0 && *port <= 65535;
 }
 
 // Signal handling: the handler only flips lock-free atomics (both
@@ -110,7 +107,7 @@ int main(int argc, char** argv) {
       return arg.substr(prefix.size());
     };
     if (arg.rfind("--port=", 0) == 0) {
-      net.port = static_cast<int>(std::stol(value_of("--port=")));
+      if (!ParseNumber(value_of("--port="), &net.port)) return Usage();
     } else if (arg.rfind("--host=", 0) == 0) {
       net.host = value_of("--host=");
     } else if (arg.rfind("--strategy=", 0) == 0) {
@@ -125,11 +122,15 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
-      load.eval.num_threads =
-          static_cast<int>(std::stol(value_of("--threads=")));
-      if (load.eval.num_threads < 1) return Usage();
+      if (!ParseNumber(value_of("--threads="), &load.eval.num_threads) ||
+          load.eval.num_threads < 1) {
+        return Usage();
+      }
     } else if (arg.rfind("--max-iterations=", 0) == 0) {
-      load.eval.max_iterations = std::stoll(value_of("--max-iterations="));
+      if (!ParseNumber(value_of("--max-iterations="),
+                       &load.eval.max_iterations)) {
+        return Usage();
+      }
     } else if (arg.rfind("--data-dir=", 0) == 0) {
       load.durability.data_dir = value_of("--data-dir=");
       if (load.durability.data_dir.empty()) return Usage();
@@ -143,11 +144,15 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg.rfind("--checkpoint-every-epochs=", 0) == 0) {
-      load.durability.checkpoint_every_epochs =
-          std::stoll(value_of("--checkpoint-every-epochs="));
+      if (!ParseNumber(value_of("--checkpoint-every-epochs="),
+                       &load.durability.checkpoint_every_epochs)) {
+        return Usage();
+      }
     } else if (arg.rfind("--checkpoint-every-bytes=", 0) == 0) {
-      load.durability.checkpoint_every_bytes =
-          std::stoll(value_of("--checkpoint-every-bytes="));
+      if (!ParseNumber(value_of("--checkpoint-every-bytes="),
+                       &load.durability.checkpoint_every_bytes)) {
+        return Usage();
+      }
     } else if (arg == "--no-verify-recovery") {
       load.durability.verify_recovery = false;
     } else if (arg.rfind("--replica-of=", 0) == 0) {

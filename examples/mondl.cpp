@@ -51,6 +51,7 @@
 
 #include "core/engine.h"
 #include "server/result_json.h"
+#include "util/string_util.h"
 
 using namespace mad;
 
@@ -111,12 +112,19 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg.rfind("--max-iterations=", 0) == 0) {
-      options.max_iterations = std::stoll(value_of("--max-iterations="));
+      if (!ParseNumber(value_of("--max-iterations="),
+                       &options.max_iterations)) {
+        return Usage();
+      }
     } else if (arg.rfind("--epsilon=", 0) == 0) {
-      options.epsilon = std::stod(value_of("--epsilon="));
+      if (!ParseNumber(value_of("--epsilon="), &options.epsilon)) {
+        return Usage();
+      }
     } else if (arg.rfind("--threads=", 0) == 0) {
-      options.num_threads = static_cast<int>(std::stol(value_of("--threads=")));
-      if (options.num_threads < 1) return Usage();
+      if (!ParseNumber(value_of("--threads="), &options.num_threads) ||
+          options.num_threads < 1) {
+        return Usage();
+      }
     } else if (arg == "--no-validate") {
       options.validate = false;
     } else if (arg == "--check") {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -13,6 +14,17 @@ const Json& Json::At(const std::string& key) const {
   if (!is_object()) return missing;
   auto it = obj.find(key);
   return it == obj.end() ? missing : it->second;
+}
+
+int64_t Json::AsInt() const {
+  if (kind == Kind::kInt) return integer;
+  // 2^63 is exact as a double; every double below it (and at or above
+  // -2^63) converts without overflow.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isnan(number)) return 0;
+  if (number >= kTwo63) return std::numeric_limits<int64_t>::max();
+  if (number < -kTwo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(number);
 }
 
 int64_t Json::IntOr(const std::string& key, int64_t fallback) const {

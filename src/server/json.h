@@ -81,9 +81,10 @@ struct Json {
   double AsDouble() const {
     return kind == Kind::kInt ? static_cast<double>(integer) : number;
   }
-  int64_t AsInt() const {
-    return kind == Kind::kInt ? integer : static_cast<int64_t>(number);
-  }
+  /// Numeric payload as an integer. Request fields are untrusted, so a
+  /// double outside int64's range saturates to the nearest bound (NaN reads
+  /// as 0) instead of hitting the undefined cast.
+  int64_t AsInt() const;
 
   bool Has(const std::string& key) const {
     return is_object() && obj.count(key) > 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "analysis/admissibility.h"
 #include "datalog/parser.h"
@@ -94,6 +95,10 @@ Json OkResponse(const std::string& verb, int64_t epoch) {
 /// parking a connection thread forever.
 constexpr int64_t kDefaultMinEpochWaitMs = 2000;
 constexpr int64_t kMaxWaitMs = 60 * 1000;
+
+/// Ceiling for a request's limits.deadline_ms: about 35 years, far past any
+/// useful deadline and far inside the int64 nanosecond range.
+constexpr int64_t kMaxDeadlineMs = int64_t{1} << 40;
 
 constexpr int64_t kDefaultFrameRecords = 256;
 constexpr int64_t kDefaultFrameBytes = 4 << 20;
@@ -351,7 +356,10 @@ int64_t ServerState::epoch() const { return Pin()->epoch; }
 ResourceLimits ServerState::RequestResourceLimits(const Json& request) const {
   ResourceLimits limits;
   const Json& l = request.At("limits");
-  int64_t deadline_ms = l.IntOr("deadline_ms", 0);
+  // Clamped: an untrusted deadline of up to 2^63 ms would overflow the
+  // nanosecond duration (and the time point it is added to).
+  const int64_t deadline_ms =
+      std::min<int64_t>(l.IntOr("deadline_ms", 0), kMaxDeadlineMs);
   if (deadline_ms > 0) {
     limits.deadline = std::chrono::milliseconds(deadline_ms);
   }
@@ -910,6 +918,8 @@ Json ServerState::HandleReplFrames(const Json& request) {
   from.offset = std::max<int64_t>(0, request.IntOr("offset", 0));
   int64_t max_records = request.IntOr("max_records", kDefaultFrameRecords);
   if (max_records <= 0) max_records = kDefaultFrameRecords;
+  // Leaves room for the one-record overscan below.
+  max_records = std::min(max_records, std::numeric_limits<int64_t>::max() - 1);
   int64_t max_bytes = request.IntOr("max_bytes", kDefaultFrameBytes);
   if (max_bytes <= 0) max_bytes = kDefaultFrameBytes;
   const int64_t wait_ms =

@@ -304,6 +304,43 @@ TEST(DemandEndToEndTest, CompanyControlSliceMatchesFullModel) {
 }
 
 // ---------------------------------------------------------------------------
+// Point queries do strictly less work
+// ---------------------------------------------------------------------------
+
+core::QueryOptions Mode(core::QueryOptions::Mode m) {
+  core::QueryOptions q;
+  q.mode = m;
+  return q;
+}
+
+TEST(DemandDifferentialTest, PointQueriesDeriveStrictlyLess) {
+  using core::QueryOptions;
+  Program program = MustParse(workloads::kShortestPathProgram);
+  const datalog::PredicateInfo* s = program.FindPredicate("s");
+  for (int seed = 0; seed < 3; ++seed) {
+    Random rng(9500 + seed);
+    workloads::Graph g = workloads::RandomGraph(60, 240, {1.0, 10.0}, &rng);
+    Database edb;
+    ASSERT_TRUE(workloads::AddGraphFacts(program, g, &edb).ok());
+    core::Engine engine(program, {});
+    Atom q;
+    q.pred = s;
+    q.args = {datalog::Term::Const(Value::Symbol("n0")),
+              datalog::Term::Var("Y"), datalog::Term::Var("C")};
+    auto full =
+        engine.Query(q, edb.ShareForRead(), Mode(QueryOptions::Mode::kFull));
+    ASSERT_TRUE(full.ok()) << full.status();
+    auto sliced =
+        engine.Query(q, edb.ShareForRead(), Mode(QueryOptions::Mode::kDemand));
+    ASSERT_TRUE(sliced.ok()) << sliced.status();
+    EXPECT_TRUE(sliced->used_demand);
+    EXPECT_EQ(sliced->ToString(), full->ToString());
+    EXPECT_LT(sliced->stats.derivations, full->stats.derivations)
+        << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // .query directive plumbing
 // ---------------------------------------------------------------------------
 

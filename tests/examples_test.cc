@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -10,6 +13,9 @@
 
 #ifndef MAD_SOURCE_DIR
 #define MAD_SOURCE_DIR "."
+#endif
+#ifndef MAD_BINARY_DIR
+#define MAD_BINARY_DIR "."
 #endif
 
 namespace mad {
@@ -91,6 +97,31 @@ TEST(ExamplesTest, GradesMdl) {
   EXPECT_EQ(Cost(run, "class_count", {"math"}), 3.0);
   EXPECT_FALSE(Cost(run, "class_count", {"art"}).has_value());
   EXPECT_EQ(Cost(run, "alt_class_count", {"art"}), 0.0);
+}
+
+// A malformed or out-of-range numeric flag is a usage error (exit 2 and the
+// usage text), not an uncaught std::stol exception.
+TEST(ExamplesTest, MondlRejectsMalformedNumericFlags) {
+  const std::string mondl = std::string(MAD_BINARY_DIR) + "/examples/mondl";
+  const std::string program =
+      std::string(MAD_SOURCE_DIR) + "/examples/shortest_path.mdl";
+  for (const char* flag :
+       {"--threads=x", "--threads=4x", "--threads=99999999999",
+        "--max-iterations=99999999999999999999", "--epsilon=e"}) {
+    const std::string command = mondl + " " + flag + " " + program + " 2>&1";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buf[256];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+      output.append(buf, n);
+    }
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << flag << ": " << output;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flag << ": " << output;
+    EXPECT_NE(output.find("usage: mondl"), std::string::npos) << flag;
+  }
 }
 
 }  // namespace

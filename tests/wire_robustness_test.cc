@@ -10,6 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <limits>
 #include <string>
 
 #include "server/client.h"
@@ -182,6 +185,46 @@ TEST(WireRobustnessTest, AbuseDoesNotDisturbConcurrentWellFormedTraffic) {
     EXPECT_NE(reply.find("not valid JSON"), std::string::npos) << reply;
   }
   ExpectStillHealthy(srv->get());
+}
+
+// Request integers at and past the int64 range must each get a structured
+// response. These overflowed before they were clamped: deadline_ms in the
+// conversion to nanoseconds, max_records in repl_frames' one-record
+// overscan, and 1e300 in the double-to-int64 cast. Under the asan-ubsan
+// preset any remaining overflow aborts the test; GCC's -fsanitize=undefined
+// leaves out float-cast-overflow, so the cast's clamp is checked by value.
+TEST(WireRobustnessTest, ExtremeRequestIntegersGetStructuredResponses) {
+  EXPECT_EQ(ParseJson("1e300")->AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseJson("-1e300")->AsInt(), std::numeric_limits<int64_t>::min());
+  std::string dir = ::testing::TempDir() + "mad_wire_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  ServerState::LoadOptions options;
+  options.durability.data_dir = dir;  // repl_frames needs a WAL
+  auto state = ServerState::Load(kProgram, options);
+  ASSERT_TRUE(state.ok()) << state.status();
+  for (const char* text : {
+           R"({"verb":"query","pred":"s",)"
+           R"("limits":{"deadline_ms":9223372036854775807}})",
+           R"({"verb":"query","pred":"s","limits":{"deadline_ms":1e300,)"
+           R"("max_tuples":1e300,"max_rows":-1e300}})",
+           R"j({"verb":"query","atom":"s(a, Y, C)",)j"
+           R"("limits":{"deadline_ms":9223372036854775807}})",
+           R"({"verb":"insert","facts":"arc(b, c, 2).",)"
+           R"("limits":{"deadline_ms":9223372036854775807}})",
+           R"({"verb":"repl_frames","max_records":9223372036854775807})",
+           R"({"verb":"repl_frames","max_records":1e300,"max_bytes":1e300,)"
+           R"("seq":-1e300,"offset":1e300,"wait_ms":1e300})",
+           R"({"verb":"query","pred":"s","min_epoch":1e300,)"
+           R"("min_epoch_wait_ms":-1e300})",
+       }) {
+    std::optional<Json> request = ParseJson(text);
+    ASSERT_TRUE(request.has_value()) << text;
+    Json response = (*state)->Handle(*request);
+    EXPECT_TRUE(response.At("ok").is_bool()) << text << "\n-> "
+                                             << response.Dump();
+  }
+  state->reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
