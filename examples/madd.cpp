@@ -14,7 +14,7 @@
 //   --port=N                            listen port (default 7407; 0 = ephemeral)
 //   --host=A                            bind address (default 127.0.0.1)
 //   --strategy=naive|seminaive|greedy   initial-evaluation strategy
-//   --threads=N                         evaluation threads
+//   --threads=N                         evaluation threads (at most 256)
 //   --max-iterations=N                  fixpoint round budget
 //   --data-dir=DIR                      enable durability: WAL + checkpoints
 //                                       in DIR, crash recovery on startup
@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!ParseNumber(value_of("--threads="), &load.eval.num_threads) ||
-          load.eval.num_threads < 1) {
+          load.eval.num_threads < 1 ||
+          load.eval.num_threads > core::kMaxThreads) {
         return Usage();
       }
     } else if (arg.rfind("--max-iterations=", 0) == 0) {

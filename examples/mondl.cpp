@@ -8,7 +8,8 @@
 //   --strategy=naive|seminaive|greedy   evaluation strategy (default seminaive)
 //   --max-iterations=N                  fixpoint round budget
 //   --epsilon=E                         numeric convergence tolerance
-//   --threads=N                         evaluation threads (default 1)
+//   --threads=N                         evaluation threads (default 1, at
+//                                       most 256)
 //   --no-validate                       skip the static checks
 //   --check                             print the static report and exit
 //   --explain                           print the static query plans (per-rule
@@ -122,7 +123,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
       if (!ParseNumber(value_of("--threads="), &options.num_threads) ||
-          options.num_threads < 1) {
+          options.num_threads < 1 ||
+          options.num_threads > core::kMaxThreads) {
         return Usage();
       }
     } else if (arg == "--no-validate") {

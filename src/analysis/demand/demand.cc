@@ -556,6 +556,84 @@ DemandPattern PatternForQuery(const datalog::Atom& query,
   return p;
 }
 
+namespace {
+
+/// Extends `columns` (seeded with one predicate) over `component` along the
+/// rules; false as soon as some rule relates keys that differ there.
+bool PropagateColumns(const Program& program, const Component& component,
+                      std::map<const PredicateInfo*, int>* columns) {
+  std::deque<const PredicateInfo*> queue;
+  for (const auto& [pred, _] : *columns) queue.push_back(pred);
+  while (!queue.empty()) {
+    const PredicateInfo* p = queue.front();
+    queue.pop_front();
+    for (int ri : component.rule_indices) {
+      const Rule& rule = program.rules()[ri];
+      if (rule.head.pred != p) continue;
+      const Term& head = rule.head.args[columns->at(p)];
+      if (!head.is_var()) return false;
+      const std::set<std::string> bound = {head.var};
+      // True when `a` is outside the component or carries the head's
+      // variable at its (possibly newly assigned) column.
+      auto carries = [&](const Atom& a) {
+        if (!component.ContainsPredicate(a.pred)) return true;
+        const std::string ad = KeyAdornment(a, bound);
+        auto it = columns->find(a.pred);
+        if (it != columns->end()) {
+          return ad[it->second] == 'b' && a.args[it->second].is_var();
+        }
+        for (int i = 0; i < a.pred->key_arity(); ++i) {
+          if (ad[i] == 'b' && a.args[i].is_var()) {
+            (*columns)[a.pred] = i;
+            queue.push_back(a.pred);
+            return true;
+          }
+        }
+        return false;
+      };
+      for (const Subgoal& sg : rule.body) {
+        switch (sg.kind) {
+          case Subgoal::Kind::kAtom:
+          case Subgoal::Kind::kNegatedAtom:
+            if (!carries(sg.atom)) return false;
+            break;
+          case Subgoal::Kind::kAggregate: {
+            const datalog::AggregateSubgoal& agg = sg.aggregate;
+            bool inner = false;
+            for (const Atom& a : agg.atoms) {
+              if (!carries(a)) return false;
+              inner = inner || component.ContainsPredicate(a.pred);
+            }
+            const bool grouping =
+                std::find(agg.grouping_vars.begin(), agg.grouping_vars.end(),
+                          head.var) != agg.grouping_vars.end();
+            if (inner && (!grouping || agg.multiset_var == head.var)) {
+              return false;
+            }
+            break;
+          }
+          case Subgoal::Kind::kBuiltin:
+            break;
+        }
+      }
+    }
+  }
+  return columns->size() == component.predicates.size();
+}
+
+}  // namespace
+
+std::map<const PredicateInfo*, int> DecompositionColumns(
+    const Program& program, const Component& component) {
+  if (component.predicates.empty()) return {};
+  const PredicateInfo* first = component.predicates.front();
+  for (int k = 0; k < first->key_arity(); ++k) {
+    std::map<const PredicateInfo*, int> columns = {{first, k}};
+    if (PropagateColumns(program, component, &columns)) return columns;
+  }
+  return {};
+}
+
 DemandRewrite RewriteForPattern(const datalog::Program& program,
                                 const DependencyGraph& graph,
                                 const DemandPattern& pattern) {

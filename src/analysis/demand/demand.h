@@ -123,6 +123,21 @@ DemandRewrite RewriteForPattern(const datalog::Program& program,
                                 const DependencyGraph& graph,
                                 const DemandPattern& pattern);
 
+/// The key column, per predicate of `component`, on which its fixpoint
+/// decomposes into independent hash partitions — or an empty map when it
+/// does not. The component decomposes on columns {k_p} when, under the
+/// demand propagation with only the head's column-k_p variable V bound,
+/// every rule head binds a variable V at k_p and every atom of the
+/// component in the body — positive, negated, or inside an aggregate, where
+/// V must be a grouping variable — carries V at its own column k_q. That is
+/// exactly when the magic predicate of the bound-k pattern is seeded only by
+/// the query constant: no rule relates keys that differ at k, so the least
+/// model is the disjoint union of the least models of the partitions. The
+/// first predicate's columns are tried in order; the others' follow from
+/// the rules.
+std::map<const datalog::PredicateInfo*, int> DecompositionColumns(
+    const datalog::Program& program, const Component& component);
+
 /// Independent structural certification of a rewrite, called by
 /// RewriteForPattern (a failure downgrades the rewrite to a bail-out) and
 /// directly by tests. Verifies, without trusting the rewriter's bookkeeping:

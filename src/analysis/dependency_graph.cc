@@ -127,25 +127,6 @@ void DependencyGraph::ComputeSccs() {
     if (e.kind == EdgeKind::kAggregate) c.recursive_aggregation = true;
     if (e.kind == EdgeKind::kNegative) c.recursive_negation = true;
   }
-
-  // Condensation depths. Bottom-up order guarantees every cross-component
-  // edge points from a smaller to a larger index, so relaxing targets in
-  // index order sees only finalized predecessor depths.
-  std::map<int, std::vector<int>> preds_of;
-  for (const DepEdge& e : edges_) {
-    int cf = component_of_[e.from];
-    int ct = component_of_[e.to];
-    if (cf == ct) continue;
-    assert(cf < ct);
-    preds_of[ct].push_back(cf);
-  }
-  for (Component& c : components_) {
-    auto it = preds_of.find(c.index);
-    if (it == preds_of.end()) continue;
-    for (int cf : it->second) {
-      c.depth = std::max(c.depth, components_[cf].depth + 1);
-    }
-  }
 }
 
 int DependencyGraph::ComponentOf(const PredicateInfo* pred) const {

@@ -49,12 +49,6 @@ struct Component {
   /// outside this paper's monotone semantics (Proposition 6.1 requires
   /// negation only on LDB predicates).
   bool recursive_negation = false;
-  /// Longest-path depth in the SCC condensation: 0 for components with no
-  /// cross-component predecessor, else 1 + max over predecessors. Two
-  /// components with equal depth admit no path between them in either
-  /// direction, so their fixpoints are independent — the parallel evaluator
-  /// pipelines equal-depth components concurrently.
-  int depth = 0;
 
   bool ContainsPredicate(const PredicateInfo* p) const;
 };

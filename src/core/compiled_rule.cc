@@ -458,43 +458,5 @@ StatusOr<std::vector<CompiledRule>> CompileComponent(
   return rules;
 }
 
-namespace {
-
-void CollectFromAtoms(const std::vector<CompiledAtom>& atoms,
-                      std::vector<ScanPattern>* out) {
-  for (const CompiledAtom& a : atoms) {
-    out->push_back({a.pred, a.scan_positions});
-  }
-}
-
-void CollectFromSchedule(const Schedule& schedule,
-                         std::vector<ScanPattern>* out) {
-  for (const CompiledSubgoal& sg : schedule) {
-    switch (sg.kind) {
-      case CompiledSubgoal::Kind::kAtom:
-        out->push_back({sg.atom.pred, sg.atom.scan_positions});
-        break;
-      case CompiledSubgoal::Kind::kNegatedAtom:
-        break;  // point lookup on the primary map, no secondary index
-      case CompiledSubgoal::Kind::kAggregate:
-        CollectFromAtoms(sg.aggregate.inner, out);
-        break;
-      case CompiledSubgoal::Kind::kBuiltin:
-        break;
-    }
-  }
-}
-
-}  // namespace
-
-void CollectScanPatterns(const CompiledRule& rule,
-                         std::vector<ScanPattern>* out) {
-  CollectFromSchedule(rule.base, out);
-  for (const DriverVariant& d : rule.drivers) {
-    CollectFromAtoms(d.group_finder, out);
-    CollectFromSchedule(d.rest, out);
-  }
-}
-
 }  // namespace core
 }  // namespace mad

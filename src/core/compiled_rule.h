@@ -193,19 +193,6 @@ StatusOr<std::vector<CompiledRule>> CompileComponent(
     const datalog::Program& program, const analysis::Component& component,
     const analysis::DependencyGraph& graph, const CompileOrder& order = {});
 
-/// One (predicate, scan-position-set) pattern a schedule may hand to
-/// Relation::Scan.
-using ScanPattern = std::pair<const PredicateInfo*, std::vector<int>>;
-
-/// Appends every scan pattern reachable from `rule`'s schedules — the base
-/// schedule, each driver's rest schedule and group finder, and aggregate
-/// inner lists. The parallel evaluator forces these secondary indexes before
-/// each round's fan-out so concurrent scans are pure reads (patterns the
-/// static schedule under-approximates are still built safely, just under the
-/// exclusive lock). Duplicates are not removed.
-void CollectScanPatterns(const CompiledRule& rule,
-                         std::vector<ScanPattern>* out);
-
 }  // namespace core
 }  // namespace mad
 

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -51,6 +52,7 @@ void EvalStats::Accumulate(const EvalStats& other) {
   index_reuses += other.index_reuses;
   greedy_violations += other.greedy_violations;
   reached_fixpoint = reached_fixpoint && other.reached_fixpoint;
+  partitions = std::max(partitions, other.partitions);
   if (limit_tripped == LimitKind::kNone) limit_tripped = other.limit_tripped;
   wall_seconds += other.wall_seconds;
 }
@@ -69,10 +71,15 @@ std::string EvalStats::ToString() const {
       static_cast<long long>(index_reuses),
       static_cast<long long>(greedy_violations),
       reached_fixpoint ? "yes" : "NO", wall_seconds);
+  if (partitions > 1) out += StrPrintf(" partitions=%d", partitions);
   if (limit_tripped != LimitKind::kNone) {
     out += StrPrintf(" limit=%s", LimitKindName(limit_tripped));
   }
   return out;
+}
+
+int EffectiveThreads(int num_threads) {
+  return std::clamp(num_threads, 1, kMaxThreads);
 }
 
 // ---------------------------------------------------------------------------
@@ -171,7 +178,25 @@ int64_t BoundedChainRoundCap(const Program& program,
 }  // namespace
 
 Engine::Engine(const Program& program, EvalOptions options)
-    : program_(&program), options_(options), graph_(program) {}
+    : program_(&program), options_(options), graph_(program) {
+  options_.num_threads = EffectiveThreads(options_.num_threads);
+  if (options_.num_threads == 1 || options_.strategy != Strategy::kSemiNaive ||
+      options_.track_provenance) {
+    return;
+  }
+  partition_columns_.resize(graph_.components().size());
+  for (const analysis::Component& component : graph_.components()) {
+    // A non-recursive component is all round 0, which every partition would
+    // evaluate in full only to keep its own share: no gain.
+    if (!component.recursive) continue;
+    const std::map<const PredicateInfo*, int> columns =
+        analysis::demand::DecompositionColumns(program, component);
+    if (columns.empty()) continue;
+    std::vector<int>& by_id = partition_columns_[component.index];
+    by_id.assign(program.predicates().size(), -1);
+    for (const auto& [pred, column] : columns) by_id[pred->id] = column;
+  }
+}
 
 StatusOr<EvalResult> Engine::Run(Database edb) const {
   EvalResult result;
@@ -207,34 +232,26 @@ StatusOr<EvalResult> Engine::Run(Database edb) const {
 
   // Static join-order planning: one PlanReport per run, costed from the
   // live EDB relation sizes, consumed read-only by every CompileComponent
-  // below (including concurrent same-depth pipelining).
+  // below.
   std::unique_ptr<analysis::plan::PlanReport> plans;
   const CompileOrder order = JoinOrderFor(result.db, &plans);
 
-  // Parallel evaluation applies to semi-naive fixpoints without provenance
-  // (Provenance is single-writer). A pool of 1 would be pure overhead, so
-  // anything else runs the delta rounds without one.
+  // The pool runs the partitions of decomposed components; the constructor
+  // found none when the options rule partitioning out.
   std::unique_ptr<ThreadPool> pool;
-  if (options_.num_threads > 1 && options_.strategy == Strategy::kSemiNaive &&
-      !options_.track_provenance) {
+  if (std::any_of(partition_columns_.begin(), partition_columns_.end(),
+                  [](const std::vector<int>& c) { return !c.empty(); })) {
     pool = std::make_unique<ThreadPool>(options_.num_threads);
-    // Pre-create every head relation so evaluation never mutates the
-    // relation map: concurrent merge shards and pipelined components then
-    // only ever FindMutable existing nodes.
-    for (const datalog::Rule& r : program_->rules()) {
-      result.db.GetOrCreate(r.head.pred);
-    }
   }
   int64_t index_reuses_before = 0;
   for (const auto& [_, rel] : result.db.relations()) {
     index_reuses_before += rel->index_reuses();
   }
 
-  // Round-cap helper: components with a bounded-chains certificate get a
-  // concrete cap derived from the database at component entry — hitting it
-  // would falsify the certificate, whereas the blanket max_iterations guard
-  // is merely a heuristic stop. Scans the whole database, so it must run
-  // serially (before any same-depth fan-out).
+  // Components with a bounded-chains certificate get a concrete round cap
+  // derived from the database at component entry — hitting it would
+  // falsify the certificate, whereas the blanket max_iterations guard is
+  // merely a heuristic stop.
   auto round_cap = [&](const analysis::Component& component) -> int64_t {
     int64_t max_iters = options_.max_iterations;
     for (const analysis::ComponentTermination& t :
@@ -250,102 +267,41 @@ StatusOr<EvalResult> Engine::Run(Database edb) const {
     return max_iters;
   };
 
-  auto run_one = [&](const analysis::Component& component,
-                     int64_t max_iters) -> Status {
+  auto t0 = std::chrono::steady_clock::now();
+  for (const analysis::Component& component : graph_.components()) {
+    if (component.rule_indices.empty()) continue;
     EvalStats& cstats = result.component_stats[component.index];
+    const int64_t max_iters = round_cap(component);
     auto c0 = std::chrono::steady_clock::now();
     Status st = RunComponent(component, order, &result.db, &cstats, prov,
                              &guard, max_iters, pool.get());
     cstats.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - c0)
             .count();
-    return st;
-  };
-
-  // Folds one finished component's stats into the aggregate and translates a
-  // tripped resource limit: certifiable (prefix-sound, non-greedy) trips
-  // degrade the run to an under-approximation, everything else fails hard.
-  // Returns true when the outer loop should stop.
-  Status hard_error;
-  auto settle = [&](const analysis::Component& component,
-                    const Status& st) -> bool {
-    EvalStats& cstats = result.component_stats[component.index];
     // Accumulate without double-counting wall time (it is re-measured).
-    double saved = result.stats.wall_seconds;
+    const double saved = result.stats.wall_seconds;
     result.stats.Accumulate(cstats);
     result.stats.wall_seconds = saved;
-    if (st.ok()) return false;
-    if (st.code() != StatusCode::kResourceExhausted) {
-      hard_error = st;
-      return true;
-    }
+    if (st.ok()) continue;
     // A resource limit tripped inside this component. The partial database
     // is certifiable exactly when the interrupted iteration is a prefix of
     // a monotone fixpoint computation: the component must be prefix-sound
     // and the strategy must actually iterate T_P from ⊥ (greedy settles
     // keys speculatively, so its intermediate states carry no guarantee).
-    const analysis::ComponentVerdict& verdict =
-        result.check.components[component.index];
-    if (options_.strategy == Strategy::kGreedy || !verdict.prefix_sound) {
-      hard_error = st;
-      return true;
+    // Anything else fails hard.
+    if (st.code() != StatusCode::kResourceExhausted ||
+        options_.strategy == Strategy::kGreedy ||
+        !result.check.components[component.index].prefix_sound) {
+      return st;
     }
     cstats.limit_tripped = guard.tripped();
     result.completeness = Completeness::kUnderApproximation;
     result.limit_tripped = guard.tripped();
-    if (result.tripped_component < 0) {
-      result.tripped_component = component.index;
-    }
+    result.tripped_component = component.index;
     result.stats.limit_tripped = guard.tripped();
     result.stats.reached_fixpoint = false;
-    return true;
-  };
-
-  auto t0 = std::chrono::steady_clock::now();
-  const std::vector<analysis::Component>& components = graph_.components();
-  size_t ci = 0;
-  bool stopped = false;
-  while (ci < components.size() && !stopped) {
-    // Maximal run of consecutive equal-depth components. Equal condensation
-    // depth admits no path between the components in either direction, so
-    // their fixpoints read disjoint inputs and write disjoint relations —
-    // they may pipeline concurrently through the pool.
-    size_t cj = ci + 1;
-    while (cj < components.size() &&
-           components[cj].depth == components[ci].depth) {
-      ++cj;
-    }
-    std::vector<const analysis::Component*> group;
-    for (size_t k = ci; k < cj; ++k) {
-      if (!components[k].rule_indices.empty()) group.push_back(&components[k]);
-    }
-    ci = cj;
-    if (group.empty()) continue;
-
-    if (pool != nullptr && group.size() > 1) {
-      std::vector<int64_t> caps(group.size());
-      for (size_t g = 0; g < group.size(); ++g) caps[g] = round_cap(*group[g]);
-      std::vector<Status> statuses(group.size());
-      pool->ParallelFor(static_cast<int64_t>(group.size()),
-                        [&](int, int64_t g) {
-                          statuses[g] = run_one(*group[g], caps[g]);
-                        });
-      // Settle in component-index order so tripped_component is the
-      // smallest interrupted index, matching the serial contract that
-      // lower-indexed components hold their full least model.
-      for (size_t g = 0; g < group.size(); ++g) {
-        if (settle(*group[g], statuses[g])) stopped = true;
-      }
-    } else {
-      for (const analysis::Component* component : group) {
-        if (settle(*component, run_one(*component, round_cap(*component)))) {
-          stopped = true;
-          break;
-        }
-      }
-    }
+    break;
   }
-  if (!hard_error.ok()) return hard_error;
   int64_t index_reuses_after = 0;
   for (const auto& [_, rel] : result.db.relations()) {
     index_reuses_after += rel->index_reuses();
@@ -384,8 +340,13 @@ Status Engine::RunComponent(const analysis::Component& component,
     case Strategy::kNaive:
       return RunNaive(rules, db, stats, prov, guard, max_iterations);
     case Strategy::kSemiNaive:
+      if (pool != nullptr && !partition_columns_[component.index].empty()) {
+        return RunPartitioned(component, rules,
+                              partition_columns_[component.index], db, stats,
+                              guard, max_iterations, pool);
+      }
       return RunDeltaRounds(rules, db, stats, prov, guard, max_iterations,
-                            pool, /*seed=*/nullptr);
+                            /*seed=*/nullptr, /*part=*/nullptr);
     case Strategy::kGreedy:
       return RunGreedy(component, rules, db, stats, prov, guard);
   }
@@ -412,14 +373,15 @@ size_t DeltaSize(const DeltaMap& delta) {
 }
 
 /// Charges a merged batch of `tuples` derivations to `guard`, then the
-/// database's footprint when memory is limited. Called after the batch is
-/// already safely in the database (any subset of derivations stays ⊑-below
-/// the least model under monotone T_P), so a trip loses no work.
-Status ChargeMerged(ResourceGuard* guard, int64_t tuples, const Database& db) {
+/// evaluation's footprint `bytes()` when memory is limited. Called after the
+/// batch is already safely in the database (any subset of derivations stays
+/// ⊑-below the least model under monotone T_P), so a trip loses no work.
+template <typename Bytes>
+Status ChargeMerged(ResourceGuard* guard, int64_t tuples, const Bytes& bytes) {
   if (!guard->active()) return Status::OK();
   LimitKind k = guard->ChargeTuples(tuples);
   if (k == LimitKind::kNone && guard->memory_limited()) {
-    k = guard->ChargeMemory(db.ApproxBytes());
+    k = guard->ChargeMemory(bytes());
   }
   if (k == LimitKind::kNone) return Status::OK();
   return Status::ResourceExhausted(guard->Describe());
@@ -440,55 +402,86 @@ Status CheckIncrease(const analysis::UpdateSafety& safety,
 
 }  // namespace
 
-Relation::MergeResult Engine::MergeOneDerivation(const Derivation& d,
-                                                 Database* db,
-                                                 EvalStats* stats,
-                                                 DeltaMap* delta,
-                                                 Provenance* prov) const {
-  Relation* rel = db->FindMutable(d.pred);
-  if (rel == nullptr) rel = db->GetOrCreate(d.pred);
-  if (options_.epsilon > 0 && d.pred->has_cost) {
-    const Value* cur = rel->Find(d.key);
-    if (cur != nullptr) {
-      Value joined = d.pred->domain->Join(*cur, d.cost);
-      if ((joined.is_numeric() || joined.is_bool()) &&
-          (cur->is_numeric() || cur->is_bool()) &&
-          std::fabs(joined.AsDouble() - cur->AsDouble()) < options_.epsilon) {
-        return Relation::MergeResult::kUnchanged;  // converged within tolerance
+/// One partition of a decomposed fixpoint (see RunPartitioned below).
+struct Engine::Partition {
+  /// The keys this partition owns; round 0 drops every other head.
+  KeyPartition keys;
+  /// The component's predicates: the relations private to the partition.
+  const std::vector<const PredicateInfo*>* preds = nullptr;
+  /// Shared by all partitions: their private bytes, summed, and the most
+  /// rounds any of them has opened.
+  std::atomic<int64_t>* private_bytes = nullptr;
+  std::atomic<int64_t>* rounds = nullptr;
+  /// This partition's last contribution to *private_bytes.
+  int64_t reported_bytes = 0;
+
+  /// The evaluation's footprint seen from this partition's database `db`:
+  /// the shared relations once, plus every partition's private relations.
+  int64_t Bytes(const Database& db) {
+    int64_t mine = 0;
+    for (const PredicateInfo* pred : *preds) {
+      mine += db.Find(pred)->ApproxBytes();
+    }
+    const int64_t all =
+        private_bytes->fetch_add(mine - reported_bytes,
+                                 std::memory_order_relaxed) +
+        mine - reported_bytes;
+    reported_bytes = mine;
+    return db.ApproxBytes() - mine + all;
+  }
+
+  /// True when `round` is the first of its number opened by any partition:
+  /// the component's rounds are the most any partition runs, so only that
+  /// opening is charged to the round budgets.
+  bool ClaimRound(int64_t round) {
+    int64_t seen = rounds->load(std::memory_order_relaxed);
+    while (round > seen) {
+      if (rounds->compare_exchange_weak(seen, round,
+                                        std::memory_order_relaxed)) {
+        return true;
       }
     }
+    return false;
   }
-  uint32_t row = 0;
-  Relation::MergeResult mr = rel->Merge(d.key, d.cost, &row);
-  switch (mr) {
-    case Relation::MergeResult::kNew:
-      ++stats->merges_new;
-      if (delta != nullptr) (*delta)[d.pred->id].push_back(row);
-      if (prov != nullptr) prov->Record(d.pred, row, d.rule_index);
-      break;
-    case Relation::MergeResult::kIncreased:
-      ++stats->merges_increased;
-      if (delta != nullptr) (*delta)[d.pred->id].push_back(row);
-      if (prov != nullptr) prov->Record(d.pred, row, d.rule_index);
-      break;
-    case Relation::MergeResult::kUnchanged:
-      break;
-  }
-  return mr;
-}
+};
 
 Status Engine::MergeDerivations(const std::vector<Derivation>& derivations,
                                 Database* db, EvalStats* stats,
                                 DeltaMap* delta, Provenance* prov,
                                 ResourceGuard* guard,
-                                const analysis::UpdateSafety* safety) const {
+                                const analysis::UpdateSafety* safety,
+                                Partition* part) const {
   for (const Derivation& d : derivations) {
-    Relation::MergeResult mr = MergeOneDerivation(d, db, stats, delta, prov);
+    Relation* rel = db->GetOrCreate(d.pred);
+    if (options_.epsilon > 0 && d.pred->has_cost) {
+      const Value* cur = rel->Find(d.key);
+      if (cur != nullptr) {
+        Value joined = d.pred->domain->Join(*cur, d.cost);
+        if ((joined.is_numeric() || joined.is_bool()) &&
+            (cur->is_numeric() || cur->is_bool()) &&
+            std::fabs(joined.AsDouble() - cur->AsDouble()) <
+                options_.epsilon) {
+          continue;  // converged within tolerance
+        }
+      }
+    }
+    uint32_t row = 0;
+    const Relation::MergeResult mr = rel->Merge(d.key, d.cost, &row);
+    if (mr == Relation::MergeResult::kUnchanged) continue;
+    if (mr == Relation::MergeResult::kNew) {
+      ++stats->merges_new;
+    } else {
+      ++stats->merges_increased;
+    }
+    if (delta != nullptr) (*delta)[d.pred->id].push_back(row);
+    if (prov != nullptr) prov->Record(d.pred, row, d.rule_index);
     if (safety != nullptr) {
       MAD_RETURN_IF_ERROR(CheckIncrease(*safety, d.pred, mr));
     }
   }
-  return ChargeMerged(guard, static_cast<int64_t>(derivations.size()), *db);
+  return ChargeMerged(guard, static_cast<int64_t>(derivations.size()), [&] {
+    return part != nullptr ? part->Bytes(*db) : db->ApproxBytes();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -552,153 +545,52 @@ Status Engine::RunNaive(const std::vector<CompiledRule>& rules, Database* db,
 // Semi-naive: delta-driven rounds
 // ---------------------------------------------------------------------------
 //
-// One loop computes every semi-naive fixpoint: Run's components at any thread
-// count, and Update's delta closure. Only the merge batch varies, and the
-// pool it is given fixes it.
-//
-// Without a pool (or with one participant, or with provenance, which is
-// single-writer) a batch is one work item — one rule's base evaluation in
-// round 0, one (rule, driver, delta-row) triple after — merged as soon as it
-// is evaluated, so later items of a round see earlier items' merges.
-//
-// With P > 1 participants a batch is the whole round, and rounds are strictly
-// phased. Soundness rests on two facts. (1) Relation::Merge is the lattice
-// join, and joins commute and associate, so the set of derivations produced
-// by a round can be folded into the database in any order — including split
-// across shard owners — without changing the resulting interpretation
-// (Tarski's theorem makes the least fixpoint unique regardless of the T_P
-// application schedule). (2) Every executor of a fan-out phase reads the
-// database frozen at the end of the previous merge phase. Phasing drops the
-// intra-round visibility the per-item schedule has, but any derivation
-// thereby missed is recovered through the delta drivers of a later round —
-// the fixpoint, and hence Database::ToString(), is identical.
-//
-// Within a merge phase, derivations are sharded by head-predicate id, so
-// each relation is touched by exactly one shard owner: merging needs no
-// per-relation locks, and delta membership (row ∈ delta iff the join
-// strictly raised the stored value) is independent of merge order.
+// One loop computes every semi-naive fixpoint: Run's components, each
+// partition of a decomposed component, and Update's delta closure. A batch
+// is one work item — one rule's base evaluation in round 0, one (rule,
+// driver, delta-row) triple after — merged as soon as it is evaluated, so
+// later items of a round see earlier items' merges.
 
 Status Engine::RunDeltaRounds(const std::vector<CompiledRule>& rules,
                               Database* db, EvalStats* stats, Provenance* prov,
                               ResourceGuard* guard, int64_t max_iterations,
-                              ThreadPool* pool,
-                              const IncrementalSeed* seed) const {
+                              const IncrementalSeed* seed,
+                              Partition* part) const {
   const analysis::UpdateSafety* safety =
       seed != nullptr ? seed->safety : nullptr;
-  // Provenance and the increase check are per-item merge steps.
-  const bool phased = pool != nullptr && pool->num_participants() > 1 &&
-                      prov == nullptr && safety == nullptr;
-  const int participants = phased ? pool->num_participants() : 1;
-  const int shards = participants;  // shard key: pred->id % shards
+  RuleExecutor exec(db);
+  if (guard->active()) exec.set_guard(guard);
+  std::vector<Derivation> buffer;
 
-  struct WorkerCtx {
-    std::unique_ptr<RuleExecutor> exec;
-    std::vector<Derivation> buffer;  ///< one item's derivations
-    std::vector<std::vector<Derivation>> by_shard;  ///< phased: per shard
-    int64_t rule_evaluations = 0;
-    int64_t derivations = 0;
-  };
-  std::vector<WorkerCtx> ctxs(participants);
-  for (WorkerCtx& c : ctxs) {
-    c.exec = std::make_unique<RuleExecutor>(db);
-    if (guard->active()) c.exec->set_guard(guard);
-    c.by_shard.resize(phased ? shards : 0);
-  }
-
-  // Scan patterns this component's schedules can issue; forced before every
-  // phased fan-out so concurrent scans find complete indexes under the
-  // shared lock.
-  std::vector<ScanPattern> patterns;
-  if (phased) {
-    for (const CompiledRule& rule : rules) CollectScanPatterns(rule, &patterns);
-    std::sort(patterns.begin(), patterns.end());
-    patterns.erase(std::unique(patterns.begin(), patterns.end()),
-                   patterns.end());
-  }
-
-  // Phased merge: shard s folds every worker's bin s into the database.
-  // Workers are visited in participant order for cache-friendly streaming;
-  // the order is irrelevant to the outcome (joins commute).
-  auto merge_phase = [&](DeltaMap* out_delta) -> Status {
-    struct ShardOut {
-      EvalStats stats;
-      DeltaMap delta;
-    };
-    std::vector<ShardOut> outs(shards);
-    pool->ParallelFor(shards, [&](int, int64_t s) {
-      ShardOut& out = outs[s];
-      for (WorkerCtx& c : ctxs) {
-        for (const Derivation& d : c.by_shard[s]) {
-          MergeOneDerivation(d, db, &out.stats, &out.delta, nullptr);
-        }
-      }
-    });
-    int64_t batch = 0;
-    for (WorkerCtx& c : ctxs) {
-      for (std::vector<Derivation>& bin : c.by_shard) {
-        batch += static_cast<int64_t>(bin.size());
-        bin.clear();
-      }
-    }
-    for (ShardOut& out : outs) {
-      stats->merges_new += out.stats.merges_new;
-      stats->merges_increased += out.stats.merges_increased;
-      // Shards partition predicate ids, so these delta maps are disjoint.
-      for (auto& [pred_id, rows] : out.delta) {
-        (*out_delta)[pred_id] = std::move(rows);
-      }
-    }
-    return ChargeMerged(guard, batch, *db);
-  };
-
-  // Evaluates `count` work items — `eval(exec, i, buffer)` appends item i's
-  // derivations to `buffer` — and merges them, one batch per item or one
-  // per round, appending changed rows to `out`.
+  // Evaluates `count` work items — `eval(i)` appends item i's derivations to
+  // `buffer` — merging each before the next, changed rows into `out`.
   auto run_items = [&](int64_t count, const auto& eval,
                        DeltaMap* out) -> Status {
-    if (!phased) {
-      WorkerCtx& c = ctxs[0];
-      for (int64_t i = 0; i < count; ++i) {
-        ++c.rule_evaluations;
-        c.buffer.clear();
-        eval(*c.exec, i, &c.buffer);
-        c.derivations += static_cast<int64_t>(c.buffer.size());
-        MAD_RETURN_IF_ERROR(
-            MergeDerivations(c.buffer, db, stats, out, prov, guard, safety));
-      }
-      return Status::OK();
+    for (int64_t i = 0; i < count; ++i) {
+      ++stats->rule_evaluations;
+      buffer.clear();
+      eval(i);
+      stats->derivations += static_cast<int64_t>(buffer.size());
+      MAD_RETURN_IF_ERROR(MergeDerivations(buffer, db, stats, out, prov, guard,
+                                           safety, part));
     }
-    for (const ScanPattern& p : patterns) {
-      const Relation* rel = db->Find(p.first);
-      if (rel != nullptr) rel->ForceIndex(p.second);
-    }
-    pool->ParallelFor(count, [&](int p, int64_t i) {
-      WorkerCtx& c = ctxs[p];
-      ++c.rule_evaluations;
-      eval(*c.exec, i, &c.buffer);
-      for (Derivation& d : c.buffer) {
-        c.by_shard[d.pred->id % shards].push_back(std::move(d));
-      }
-      c.derivations += static_cast<int64_t>(c.buffer.size());
-      c.buffer.clear();
-    });
-    return merge_phase(out);
+    return Status::OK();
   };
 
-  // Every exit goes through here: the workers' counters are drained, and a
-  // fixpoint cut short by an error is marked as such.
+  // Every exit goes through here: a fixpoint cut short by an error is
+  // marked as such.
   auto finish = [&](Status st) -> Status {
-    for (WorkerCtx& c : ctxs) {
-      stats->rule_evaluations += c.rule_evaluations;
-      stats->derivations += c.derivations;
-      stats->subgoal_evals += c.exec->subgoal_evals();
-    }
+    stats->subgoal_evals += exec.subgoal_evals();
     if (!st.ok()) stats->reached_fixpoint = false;
     return st;
   };
   int64_t rounds = 0;  // this fixpoint's rounds, the unit ChargeRound caps
   auto open_round = [&]() -> Status {
-    if (guard->ChargeRound(++rounds) != LimitKind::kNone) {
+    ++rounds;
+    const LimitKind k = part == nullptr || part->ClaimRound(rounds)
+                            ? guard->ChargeRound(rounds)
+                            : guard->Poll();
+    if (k != LimitKind::kNone) {
       return Status::ResourceExhausted(guard->Describe());
     }
     ++stats->iterations;
@@ -711,15 +603,16 @@ Status Engine::RunDeltaRounds(const std::vector<CompiledRule>& rules,
   } else {
     // Round 0: full evaluation of every rule against the (empty-CDB) initial
     // interpretation; the default extensions J_∅ are synthesized by the
-    // executor.
+    // executor. A partition keeps only the heads it owns; in later rounds
+    // every head shares its key column value with the delta row that drove
+    // it, so it is always the partition's own.
     Status st = open_round();
     if (st.ok()) {
+      exec.set_head_filter(part != nullptr ? &part->keys : nullptr);
       st = run_items(
           static_cast<int64_t>(rules.size()),
-          [&](RuleExecutor& exec, int64_t i, std::vector<Derivation>* out) {
-            exec.RunBase(rules[i], out);
-          },
-          &delta);
+          [&](int64_t i) { exec.RunBase(rules[i], &buffer); }, &delta);
+      exec.set_head_filter(nullptr);
     }
     if (!st.ok()) return finish(st);
   }
@@ -753,12 +646,12 @@ Status Engine::RunDeltaRounds(const std::vector<CompiledRule>& rules,
     DeltaMap next_delta;
     st = run_items(
         static_cast<int64_t>(items.size()),
-        [&](RuleExecutor& exec, int64_t i, std::vector<Derivation>* out) {
+        [&](int64_t i) {
           const DriverItem& item = items[i];
           // Current cost (possibly fresher than at delta-recording time —
           // monotonicity makes that harmless).
           exec.RunDriver(*item.rule, *item.driver, item.rel->key_at(item.row),
-                         item.rel->cost_at(item.row), out);
+                         item.rel->cost_at(item.row), &buffer);
         },
         &next_delta);
     if (!st.ok()) return finish(st);
@@ -771,6 +664,80 @@ Status Engine::RunDeltaRounds(const std::vector<CompiledRule>& rules,
     delta = std::move(next_delta);
   }
   return finish(Status::OK());
+}
+
+// ---------------------------------------------------------------------------
+// Decomposed fixpoints: independent partitions
+// ---------------------------------------------------------------------------
+//
+// When no rule of a component relates keys that differ in the partition
+// column (analysis::demand::DecompositionColumns), the component's least
+// model is the disjoint union of the least models of its hash partitions on
+// that column: a partition's rounds read only its own rows of the
+// component's predicates and the complete lower relations. So each
+// partition runs the serial loop above to its own fixpoint, with no barrier
+// and no merge between partitions, and replays exactly the derivations and
+// merges the serial run makes for its keys.
+
+Status Engine::RunPartitioned(const analysis::Component& component,
+                              const std::vector<CompiledRule>& rules,
+                              const std::vector<int>& columns, Database* db,
+                              EvalStats* stats, ResourceGuard* guard,
+                              int64_t max_iterations, ThreadPool* pool) const {
+  const int count = pool->num_participants();
+  const std::vector<const PredicateInfo*>& preds = component.predicates;
+  std::vector<Database> parts(count);
+  for (const auto& [_, rel] : db->relations()) {
+    if (component.ContainsPredicate(rel->pred())) continue;
+    for (Database& part : parts) part.Install(rel);
+  }
+  for (const PredicateInfo* pred : preds) {
+    for (Database& part : parts) part.GetOrCreate(pred);
+    const Relation* edb = db->Find(pred);
+    if (edb == nullptr) continue;
+    for (size_t row = 0; row < edb->size(); ++row) {
+      const KeyRef key = edb->key_at(row);
+      parts[KeyPartition::Of(key[columns[pred->id]], count)]
+          .FindMutable(pred)
+          ->Merge(key, edb->cost_at(row));
+    }
+  }
+
+  std::atomic<int64_t> private_bytes{0};
+  std::atomic<int64_t> rounds{0};
+  std::vector<Partition> shares(count);
+  std::vector<EvalStats> part_stats(count);
+  std::vector<Status> statuses(count);
+  for (int p = 0; p < count; ++p) {
+    shares[p] = {{&columns, count, p}, &preds, &private_bytes, &rounds};
+  }
+  pool->ParallelFor(count, [&](int, int64_t p) {
+    statuses[p] = RunDeltaRounds(rules, &parts[p], &part_stats[p], nullptr,
+                                 guard, max_iterations, nullptr, &shares[p]);
+  });
+
+  // The key sets are disjoint, so the union is an append: the result takes
+  // over partition 0's relations, and every other partition is appended
+  // and freed. A tripped limit leaves each partition a prefix of its
+  // fixpoint, and their union is still ⊑-below the least model.
+  for (const PredicateInfo* pred : preds) db->Install(parts[0].Release(pred));
+  for (int p = 1; p < count; ++p) {
+    for (const PredicateInfo* pred : preds) {
+      db->FindMutable(pred)->AppendDisjoint(*parts[p].Find(pred));
+    }
+    parts[p] = Database();
+  }
+
+  Status status;
+  for (int p = 0; p < count; ++p) {
+    const int64_t iterations = std::max(stats->iterations,
+                                        part_stats[p].iterations);
+    stats->Accumulate(part_stats[p]);
+    stats->iterations = iterations;
+    if (status.ok()) status = statuses[p];
+  }
+  stats->partitions = count;
+  return status;
 }
 
 // ---------------------------------------------------------------------------
@@ -861,7 +828,8 @@ Status Engine::RunGreedy(const analysis::Component& component,
     // Greedy intermediate states are never certifiable (settled keys may
     // already sit above the least model), so this trip becomes a hard
     // ResourceExhausted at the Run level — but it must still stop the run.
-    Status st = ChargeMerged(guard, static_cast<int64_t>(buffer.size()), *db);
+    Status st = ChargeMerged(guard, static_cast<int64_t>(buffer.size()),
+                             [&] { return db->ApproxBytes(); });
     if (!st.ok()) stats->reached_fixpoint = false;
     return st;
   };
@@ -980,8 +948,8 @@ StatusOr<EvalStats> Engine::Update(EvalResult* result,
     MAD_ASSIGN_OR_RETURN(std::vector<CompiledRule> rules,
                          CompileComponent(*program_, component, graph_, order));
     Status st = RunDeltaRounds(rules, &result->db, &stats, prov, &guard,
-                               options_.max_iterations, /*pool=*/nullptr,
-                               &seed);
+                               options_.max_iterations, &seed,
+                               /*part=*/nullptr);
     if (st.code() == StatusCode::kResourceExhausted) {
       // Update safety already guarantees full input-monotonicity, so a
       // tripped limit always degrades gracefully: the database is ⊑-below

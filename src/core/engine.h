@@ -69,20 +69,20 @@ struct EvalOptions {
   /// stops at the next check boundary; whether that yields a certified
   /// partial result or an error depends on the component — see Completeness.
   ResourceLimits limits = {};
-  /// Evaluation parallelism: number of pool participants (the calling
-  /// thread plus num_threads-1 workers). Every semi-naive fixpoint runs the
-  /// same round loop; the pool only sets its merge batch. With 1 (default)
-  /// there is no pool and a batch is one work item (one rule in round 0,
-  /// one (rule, driver, delta-row) triple after), merged as soon as it is
-  /// evaluated. With >1 a batch is the whole round: its items fan out over
-  /// the pool against a frozen database and predicate-sharded owners merge
-  /// them, and independent same-depth components pipeline concurrently.
-  /// Sound for any monotone program: Relation::Merge is a lattice join, so
-  /// derivation batches commute and the least model — hence
-  /// Database::ToString() — is identical for every thread count (Tarski;
-  /// see DESIGN.md "Parallel evaluation"). Ignored (no pool) for the
-  /// naive/greedy strategies, whose semantics are order-sensitive, and
-  /// when track_provenance is set.
+  /// Evaluation parallelism: the number of hash partitions a decomposable
+  /// semi-naive component splits into, each run to its own fixpoint by one
+  /// pool thread (values above kMaxThreads are clamped to it). A component
+  /// decomposes when no rule relates keys that differ in some key column
+  /// (analysis::demand::DecompositionColumns); its least model is then the
+  /// disjoint union of the partitions' least models, so each partition runs
+  /// the serial round loop against its own relations and the shared,
+  /// already-complete lower relations, with no barrier or cross-partition
+  /// merge, and the results are appended (Relation::AppendDisjoint). Every
+  /// other component — non-recursive, not decomposable, or evaluated
+  /// naive, greedy or with provenance — runs serially, as does
+  /// Engine::Update. Database::ToString() is identical for every thread
+  /// count (see DESIGN.md "Parallel evaluation"); EvalStats::partitions
+  /// records what each component ran.
   int num_threads = 1;
   /// Body join order (see core/compiled_rule.h). kPlanned (default) follows
   /// the static planner's per-rule order, costed at Run()/Update() entry
@@ -94,6 +94,15 @@ struct EvalOptions {
   /// reach it changes.
   JoinOrderMode join_order = JoinOrderMode::kPlanned;
 };
+
+/// The largest accepted EvalOptions::num_threads: a pool spawns one OS
+/// thread per partition but the caller's, so an unchecked count (a typo'd
+/// --threads=1000000) would ask the OS for that many threads.
+inline constexpr int kMaxThreads = 256;
+
+/// `num_threads` clamped to [1, kMaxThreads] — the partition count the
+/// engine actually uses.
+int EffectiveThreads(int num_threads);
 
 /// How much of the least model an EvalResult is guaranteed to contain.
 enum class Completeness {
@@ -126,6 +135,11 @@ struct EvalStats {
   /// each one is a place where greedy evaluation lost the least model.
   int64_t greedy_violations = 0;
   bool reached_fixpoint = true;
+  /// Hash partitions the component's fixpoint ran as; 1 = serially. The
+  /// partitions' counters are summed, except `iterations`, which is the
+  /// most rounds any partition ran. For the stats of a run, the largest
+  /// count of any component.
+  int partitions = 1;
   /// The resource limit that stopped this (component's) evaluation, or
   /// kNone. For the aggregate stats of a run, the limit that ended the run.
   LimitKind limit_tripped = LimitKind::kNone;
@@ -297,8 +311,8 @@ class Engine {
   /// `max_iterations` is the effective per-component round cap: the global
   /// EvalOptions::max_iterations, or — for components whose certificate
   /// proves bounded chains — the smaller certificate-derived bound (see
-  /// BoundedChainRoundCap in engine.cc). `pool` (nullable) makes semi-naive
-  /// rounds phased.
+  /// BoundedChainRoundCap in engine.cc). With a `pool` (nullable), a
+  /// component that decomposes runs partitioned.
   Status RunComponent(const analysis::Component& component,
                       const CompileOrder& order, Database* db,
                       EvalStats* stats, Provenance* prov, ResourceGuard* guard,
@@ -306,6 +320,22 @@ class Engine {
   Status RunNaive(const std::vector<CompiledRule>& rules, Database* db,
                   EvalStats* stats, Provenance* prov, ResourceGuard* guard,
                   int64_t max_iterations) const;
+
+  /// One partition of a decomposed fixpoint and what it shares with the
+  /// others (defined in engine.cc).
+  struct Partition;
+
+  /// A decomposed component's fixpoint: one RunDeltaRounds per partition of
+  /// `pool`'s participant count, concurrently, each over a private database
+  /// (fresh relations for the component's predicates, holding the EDB rows
+  /// the partition owns, plus the lower relations shared read-only); then
+  /// the partitions' relations are joined into `db` by disjoint append.
+  /// `columns` is the partition column by predicate id.
+  Status RunPartitioned(const analysis::Component& component,
+                        const std::vector<CompiledRule>& rules,
+                        const std::vector<int>& columns, Database* db,
+                        EvalStats* stats, ResourceGuard* guard,
+                        int64_t max_iterations, ThreadPool* pool) const;
 
   /// What Engine::Update adds to a semi-naive fixpoint. `changes` holds the
   /// rows changed so far: they seed the first round in place of round 0,
@@ -320,28 +350,18 @@ class Engine {
   /// 0 evaluates every rule's base schedule (skipped when `seed` is given),
   /// then delta rounds run every (rule, driver, delta-row) item until a
   /// round changes nothing, at most `max_iterations` rounds in all of
-  /// `stats`. A pool with more than one participant makes each round one
-  /// merge batch (phased fan-out on a frozen database, predicate-sharded
-  /// merge); otherwise each item is its own batch, merged immediately.
-  /// Provenance and `seed`'s increase check force the per-item batch.
+  /// `stats`. Each item's derivations are merged as soon as it is
+  /// evaluated. `part` (nullable) makes this run one partition of a
+  /// decomposed fixpoint: round 0 keeps only the heads the partition owns,
+  /// and the memory and round budgets count every partition.
   Status RunDeltaRounds(const std::vector<CompiledRule>& rules, Database* db,
                         EvalStats* stats, Provenance* prov,
                         ResourceGuard* guard, int64_t max_iterations,
-                        ThreadPool* pool, const IncrementalSeed* seed) const;
+                        const IncrementalSeed* seed, Partition* part) const;
   Status RunGreedy(const analysis::Component& component,
                    const std::vector<CompiledRule>& rules, Database* db,
                    EvalStats* stats, Provenance* prov,
                    ResourceGuard* guard) const;
-
-  /// Lattice-merges one derivation into `db`, updating `stats` counters and
-  /// appending the changed row (if any) to `delta`. The single-writer
-  /// building block shared by the per-item batch and the sharded phased
-  /// merge.
-  datalog::Relation::MergeResult MergeOneDerivation(const Derivation& d,
-                                                    Database* db,
-                                                    EvalStats* stats,
-                                                    DeltaMap* delta,
-                                                    Provenance* prov) const;
 
   /// Merges buffered derivations; returns changed row ids per predicate.
   /// `delta` maps predicate id -> row ids changed by this merge batch.
@@ -350,15 +370,20 @@ class Engine {
   /// kept (sound under monotonicity) and a trip surfaces as
   /// Status::ResourceExhausted for the strategy loop to unwind. `safety`
   /// (nullable) rejects increases on increase-unsafe predicates
-  /// (Engine::Update).
+  /// (Engine::Update); `part` (nullable) charges memory across partitions.
   Status MergeDerivations(const std::vector<Derivation>& derivations,
                           Database* db, EvalStats* stats, DeltaMap* delta,
                           Provenance* prov, ResourceGuard* guard,
-                          const analysis::UpdateSafety* safety = nullptr) const;
+                          const analysis::UpdateSafety* safety = nullptr,
+                          Partition* part = nullptr) const;
 
   const Program* program_;
   EvalOptions options_;
   analysis::DependencyGraph graph_;
+  /// Per component index: the partition column by predicate id when the
+  /// component runs partitioned, else empty. Computed once, and only when
+  /// options_ can run partitions.
+  std::vector<std::vector<int>> partition_columns_;
 
   /// Demand rewrites keyed by "pred^adornment". Value-independent (the same
   /// rewrite serves every bound constant), so one entry per pattern.

@@ -296,6 +296,11 @@ void RuleExecutor::EvalBoundAggregate(const CompiledRule& rule,
 
 void RuleExecutor::EmitHead(const CompiledRule& rule, const Binding& binding,
                             std::vector<Derivation>* out) {
+  if (head_filter_ != nullptr &&
+      !head_filter_->Owns(Resolve(
+          rule.head_key[head_filter_->column(rule.head_pred)], binding))) {
+    return;
+  }
   Derivation d;
   d.rule_index = rule.rule_index;
   d.pred = rule.head_pred;

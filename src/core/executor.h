@@ -52,6 +52,22 @@ struct Derivation {
   int rule_index = -1;
 };
 
+/// One hash partition of a decomposed fixpoint: the keys whose value at
+/// their predicate's partition column hashes to `index` out of `count`.
+struct KeyPartition {
+  /// Partition column by predicate id (analysis::demand::DecompositionColumns).
+  const std::vector<int>* columns = nullptr;
+  int count = 1;
+  int index = 0;
+
+  static int Of(const Value& v, int count) {
+    return static_cast<int>(v.Hash() % static_cast<size_t>(count));
+  }
+  int column(const PredicateInfo* pred) const { return (*columns)[pred->id]; }
+  /// True when a key whose partition-column value is `v` belongs here.
+  bool Owns(const Value& v) const { return Of(v, count) == index; }
+};
+
 /// Evaluates compiled rules against a database, emitting derivations into a
 /// caller-supplied buffer. The executor never mutates the database — callers
 /// merge the buffered derivations afterwards, which keeps relation scans and
@@ -84,6 +100,11 @@ class RuleExecutor {
   /// ⊑-below the least model, so the caller merges the partial buffer and
   /// then observes the trip through its own guard checks.
   void set_guard(ResourceGuard* guard) { guard_ = guard; }
+
+  /// Restricts emitted heads to one partition (nullptr: no restriction): a
+  /// head whose key the partition does not own is dropped before its
+  /// Derivation is built.
+  void set_head_filter(const KeyPartition* filter) { head_filter_ = filter; }
 
   /// True once an attached guard tripped during evaluation; subsequent
   /// RunBase/RunDriver calls return immediately.
@@ -131,8 +152,8 @@ class RuleExecutor {
   const CompiledRule* current_rule_ = nullptr;
   /// Reused across RunBase/RunDriver calls so the per-rule Reset touches
   /// warm, already-sized vectors instead of allocating. The executor is
-  /// single-threaded (the parallel evaluator gives each pool participant its
-  /// own executor), so one scratch binding suffices.
+  /// single-threaded (each partition of a decomposed fixpoint has its own
+  /// executor), so one scratch binding suffices.
   Binding scratch_;
   /// Per-depth buffers of EnumAtom (the bound key values, the dynamic scan
   /// pattern, the slots a row bound), reused across calls so a probe never
@@ -149,6 +170,7 @@ class RuleExecutor {
   std::vector<Value> multiset_;  ///< EvalAggregateInto's multiset
   int64_t subgoal_evals_ = 0;
   ResourceGuard* guard_ = nullptr;
+  const KeyPartition* head_filter_ = nullptr;
   bool stopped_ = false;
 };
 

@@ -33,21 +33,34 @@ size_t ProjectionHash(const Value* row, const std::vector<int>& positions) {
   return seed;
 }
 
-/// Doubles an open-addressing table (or allocates the first one), re-placing
-/// each occupied entry by its stored `hash`. Tables hold at most half their
-/// size, so the linear probe always finds a free entry.
+/// Places `e` in the first free entry of its linear probe sequence.
+template <typename Entry, typename IsFree>
+void PlaceEntry(std::vector<Entry>* table, const Entry& e, IsFree is_free) {
+  const size_t mask = table->size() - 1;
+  size_t i = e.hash & mask;
+  while (!is_free((*table)[i])) i = (i + 1) & mask;
+  (*table)[i] = e;
+}
+
+/// Resizes an open-addressing table to `size` entries (a power of two),
+/// re-placing each occupied entry by its stored `hash`. Tables hold at most
+/// half their size, so the linear probe always finds a free entry.
+template <typename Entry, typename IsFree>
+void ResizeTable(std::vector<Entry>* table, size_t size,
+                 const Entry& free_entry, IsFree is_free) {
+  std::vector<Entry> grown(size, free_entry);
+  for (const Entry& e : *table) {
+    if (!is_free(e)) PlaceEntry(&grown, e, is_free);
+  }
+  table->swap(grown);
+}
+
+/// Doubles an open-addressing table (or allocates the first one).
 template <typename Entry, typename IsFree>
 void GrowTable(std::vector<Entry>* table, const Entry& free_entry,
                IsFree is_free) {
-  std::vector<Entry> grown(table->empty() ? 8 : 2 * table->size(), free_entry);
-  const size_t mask = grown.size() - 1;
-  for (const Entry& e : *table) {
-    if (is_free(e)) continue;
-    size_t i = e.hash & mask;
-    while (!is_free(grown[i])) i = (i + 1) & mask;
-    grown[i] = e;
-  }
-  table->swap(grown);
+  ResizeTable(table, table->empty() ? 8 : 2 * table->size(), free_entry,
+              is_free);
 }
 
 }  // namespace
@@ -149,6 +162,36 @@ Relation::MergeResult Relation::Merge(const Tuple& key, const Value& cost,
   return MergeResult::kIncreased;
 }
 
+void Relation::AppendDisjoint(const Relation& other) {
+  assert(other.pred_ == pred_);
+  index_reuses_.fetch_add(other.index_reuses(), std::memory_order_relaxed);
+  if (other.num_rows_ == 0) return;
+  const int64_t before = FlatBytes();
+  const size_t rows = num_rows_ + other.num_rows_;
+  auto is_free = [](const Slot& s) { return s.row == kNoRow; };
+  size_t size = slots_.empty() ? 8 : slots_.size();
+  while (2 * rows > size) size *= 2;
+  if (size != slots_.size()) {
+    ResizeTable(&slots_, size, Slot{0, kNoRow}, is_free);
+  }
+  const uint32_t offset = static_cast<uint32_t>(num_rows_);
+  for (const Slot& s : other.slots_) {
+    if (!is_free(s)) {
+      PlaceEntry(&slots_, Slot{s.hash, offset + s.row}, is_free);
+    }
+  }
+  keys_.reserve(rows * arity_);
+  keys_.insert(keys_.end(), other.keys_.begin(), other.keys_.end());
+  if (has_cost_) {
+    costs_.reserve(rows);
+    costs_.insert(costs_.end(), other.costs_.begin(), other.costs_.end());
+  }
+  num_rows_ = rows;
+  set_bytes_ += other.set_bytes_;
+  approx_bytes_.fetch_add(FlatBytes() - before + other.set_bytes_,
+                          std::memory_order_relaxed);
+}
+
 void Relation::ForEach(
     const std::function<void(const Tuple&, const Value&)>& cb) const {
   Tuple key;
@@ -236,21 +279,23 @@ const Relation::Index& Relation::GetIndex(
   for (const auto& candidate : indexes_) {
     if (candidate->positions == bound_pos) index = candidate.get();
   }
+  if (index != nullptr && index->built_rows() == num_rows_) {
+    // Another reader completed it between the two locks: a reuse, exactly
+    // as if this scan had come after it, so the count does not depend on
+    // how concurrent readers interleave.
+    index_reuses_.fetch_add(1, std::memory_order_relaxed);
+    return *index;
+  }
+  // A new index counts from zero, its position list included.
+  const int64_t before = index != nullptr ? index->Bytes() : 0;
   if (index == nullptr) {
     indexes_.push_back(std::make_unique<Index>());
     index = indexes_.back().get();
     index->positions = bound_pos;
   }
-  const int64_t before = index->Bytes();
   index->Extend(*this);
   approx_bytes_.fetch_add(index->Bytes() - before, std::memory_order_relaxed);
   return *index;
-}
-
-void Relation::ForceIndex(const std::vector<int>& bound_pos) const {
-  if (bound_pos.empty()) return;
-  if (bound_pos.size() == arity_) return;
-  GetIndex(bound_pos);
 }
 
 void Relation::Scan(
@@ -296,6 +341,19 @@ const Relation* Database::Find(const PredicateInfo* pred) const {
 Relation* Database::FindMutable(const PredicateInfo* pred) {
   auto it = relations_.find(pred->id);
   return it == relations_.end() ? nullptr : Unshared(&it->second);
+}
+
+void Database::Install(std::shared_ptr<Relation> rel) {
+  const int id = rel->pred()->id;
+  relations_[id] = std::move(rel);
+}
+
+std::shared_ptr<Relation> Database::Release(const PredicateInfo* pred) {
+  auto it = relations_.find(pred->id);
+  if (it == relations_.end()) return nullptr;
+  std::shared_ptr<Relation> rel = std::move(it->second);
+  relations_.erase(it);
+  return rel;
 }
 
 Status Database::AddFact(const Fact& fact) {

@@ -73,14 +73,13 @@ class KeyRef {
 /// key_at() returns a KeyRef into the key array; it and every pointer
 /// returned by Find/cost_at are valid until the next Merge on this relation.
 ///
-/// Concurrency contract: mutation (Merge) is exclusive — callers serialize it
-/// (the parallel evaluator shards relations across merge workers so each
-/// relation has one writer). Reads (Scan/Find/Contains) may run concurrently
-/// from many threads *while no Merge is in flight*; lazily built secondary
-/// indexes follow a build-once-then-read-concurrently discipline guarded by a
-/// shared_mutex, and the evaluator forces the round's index patterns
-/// (ForceIndexes) before fanning out so the hot read path takes only the
-/// shared lock.
+/// Concurrency contract: mutation (Merge, AppendDisjoint) is exclusive —
+/// callers serialize it (the partitioned evaluator gives each partition its
+/// own relations). Reads (Scan/Find/Contains) may run concurrently from many
+/// threads *while no mutation is in flight*; lazily built secondary indexes
+/// follow a build-once-then-read-concurrently discipline guarded by a
+/// shared_mutex, so concurrent readers of a relation that no longer grows
+/// take only the shared lock once its scan patterns have been built.
 class Relation {
  public:
   explicit Relation(const PredicateInfo* pred);
@@ -141,8 +140,8 @@ class Relation {
   /// index arrays, plus the element vectors of set values it stores.
   /// Interned symbols count as their Value slot (the symbol table is
   /// process-global and shared). Maintained incrementally so the resource
-  /// governor can poll it at merge granularity; atomic so the governor can
-  /// poll while other relations' shards are still merging.
+  /// governor can poll it at merge granularity; atomic because concurrent
+  /// readers grow it when they build a secondary index.
   int64_t ApproxBytes() const {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
@@ -201,12 +200,14 @@ class Relation {
     }
   }
 
-  /// Builds (or extends to current size) the secondary index for
-  /// `bound_pos`, so subsequent concurrent Scans with that pattern are pure
-  /// reads. The parallel evaluator calls this for every scan pattern of the
-  /// round before fanning work out. No-op for the empty and fully-bound
-  /// patterns, which never touch a secondary index.
-  void ForceIndex(const std::vector<int>& bound_pos) const;
+  /// Appends every row of `other` (a relation of the same predicate), in
+  /// row order, after this relation's rows. The caller guarantees the two
+  /// key sets are disjoint — they are hash partitions of one relation — so
+  /// no key is compared: each appended row's primary slot is placed by the
+  /// 32-bit hash `other` already stores. Secondary indexes extend over the
+  /// appended rows lazily, as after a Merge. `other` is left unchanged; its
+  /// index_reuses() count is added to this relation's.
+  void AppendDisjoint(const Relation& other);
 
  private:
   static constexpr uint32_t kNoRow = UINT32_MAX;
@@ -258,8 +259,7 @@ class Relation {
   /// Fast path: shared lock, index already complete. Slow path: exclusive
   /// lock, extend. The returned reference stays valid after the lock drops
   /// (indexes are heap-allocated and never freed while the relation lives)
-  /// and is safe to read concurrently as long as no rows are appended —
-  /// which the phased evaluator guarantees.
+  /// and is safe to read concurrently as long as no rows are appended.
   const Index& GetIndex(const std::vector<int>& bound_pos) const;
 
   const PredicateInfo* pred_;
@@ -297,17 +297,23 @@ class Database {
 
   /// The relation for `pred`, creating an empty one on first touch (and
   /// un-freezing a snapshot-shared one via copy-on-write). NOT safe to call
-  /// concurrently — the parallel evaluator pre-creates every head relation
-  /// before fanning out and uses FindMutable from workers.
+  /// concurrently with any other access to this database.
   Relation* GetOrCreate(const PredicateInfo* pred);
   /// Read access; returns nullptr if the predicate has no relation yet.
   const Relation* Find(const PredicateInfo* pred) const;
-  /// Write access without the inserting side effect of GetOrCreate, so
-  /// concurrent merge shards never mutate the relation map itself. Applies
-  /// the same copy-on-write unsharing as GetOrCreate; safe from concurrent
-  /// merge shards because shards partition predicates (each map slot has
-  /// exactly one writer) and slot replacement never rebalances the map.
+  /// Write access without the inserting side effect of GetOrCreate; applies
+  /// the same copy-on-write unsharing. Returns nullptr if absent.
   Relation* FindMutable(const PredicateInfo* pred);
+
+  /// Installs `rel` as the relation of its predicate, replacing any. The
+  /// relation is shared as is — neither copied nor frozen — so the caller
+  /// must keep every other holder from writing it while this database reads
+  /// it (the partitioned evaluator shares complete lower relations this way
+  /// without disturbing their copy-on-write state).
+  void Install(std::shared_ptr<Relation> rel);
+  /// Removes the relation of `pred` from this database and returns it
+  /// (nullptr if absent).
+  std::shared_ptr<Relation> Release(const PredicateInfo* pred);
 
   /// Inserts a fact (normalizing the cost into the predicate's domain).
   /// Rejects facts whose cost lies outside the declared domain.

@@ -61,7 +61,20 @@ size_t SymbolTable::size() const {
 // ---------------------------------------------------------------------------
 
 Value Value::Symbol(std::string_view name) {
-  return SymbolId(SymbolTable::Global().Intern(name));
+  return SymbolValue(SymbolTable::Global().Intern(name), name);
+}
+
+Value Value::SymbolId(uint32_t id) {
+  return SymbolValue(id, SymbolTable::Global().NameOf(id));
+}
+
+Value Value::SymbolValue(uint32_t id, std::string_view name) {
+  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (unsigned char c : name) h = (h ^ c) * 0x100000001b3ULL;
+  Value v;
+  v.kind_ = Kind::kSymbol;
+  v.int_ = static_cast<int64_t>((HashMix64(h) << 32) | id);
+  return v;
 }
 
 Value Value::Set(ValueSet elems) {
@@ -96,6 +109,7 @@ bool Value::operator<(const Value& other) const {
     case Kind::kNone:
       return false;
     case Kind::kSymbol:
+      return symbol_id() < other.symbol_id();
     case Kind::kInt:
     case Kind::kBool:
       return int_ < other.int_;

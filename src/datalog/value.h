@@ -45,12 +45,7 @@ class Value {
   /// Interns `name` and returns the symbol value for it.
   static Value Symbol(std::string_view name);
   /// Builds a symbol value from an already-interned id.
-  static Value SymbolId(uint32_t id) {
-    Value v;
-    v.kind_ = Kind::kSymbol;
-    v.int_ = id;
-    return v;
-  }
+  static Value SymbolId(uint32_t id);
   static Value Int(int64_t i) {
     Value v;
     v.kind_ = Kind::kInt;
@@ -127,6 +122,9 @@ class Value {
       }
       case Kind::kSet:
         return static_cast<size_t>(HashMix64(h ^ SetHash()));
+      case Kind::kSymbol:
+        return static_cast<size_t>(
+            HashMix64(h ^ (static_cast<uint64_t>(int_) >> 32)));
       default:
         return static_cast<size_t>(
             HashMix64(h ^ static_cast<uint64_t>(int_)));
@@ -143,6 +141,13 @@ class Value {
  private:
   bool SetEquals(const Value& other) const;
   uint64_t SetHash() const;
+
+  /// Builds a symbol value: the payload holds the interned id in its low 32
+  /// bits and a hash of the name in its high 32 bits, which is all Hash()
+  /// reads — so a symbol's hash, and the hash partition a key holding it
+  /// falls in, depends on its name alone, not on the order in which the
+  /// process happened to intern its symbols.
+  static Value SymbolValue(uint32_t id, std::string_view name);
 
   Kind kind_;
   union {

@@ -13,8 +13,8 @@
 
 namespace mad {
 
-/// A small work-stealing thread pool for the parallel evaluator (no external
-/// dependencies). A pool of `num_threads` *participants* owns
+/// A small work-stealing thread pool for the partitioned evaluator (no
+/// external dependencies). A pool of `num_threads` *participants* owns
 /// `num_threads - 1` OS threads: the thread that calls ParallelFor always
 /// participates as well, so a pool of 1 spawns nothing and runs everything
 /// inline — the serial fast path costs one branch.
@@ -28,12 +28,12 @@ namespace mad {
 /// imbalance between items then migrates between threads through stealing
 /// rather than through any per-item locking.
 ///
-/// Nesting is supported and is how SCC pipelining composes with parallel
-/// rounds: a range task may itself call ParallelFor on the same pool. The
-/// waiting participant keeps draining tasks (its own, then stolen) until its
-/// batch completes, so a pool thread is never parked while runnable work
-/// exists, and the caller's own drain loop guarantees progress even when
-/// every worker is busy elsewhere — ParallelFor cannot deadlock.
+/// Nesting is supported: a range task may itself call ParallelFor on the
+/// same pool. The waiting participant keeps draining tasks (its own, then
+/// stolen) until its batch completes, so a pool thread is never parked
+/// while runnable work exists, and the caller's own drain loop guarantees
+/// progress even when every worker is busy elsewhere — ParallelFor cannot
+/// deadlock.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` participants (min 1); spawns

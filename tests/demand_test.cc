@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -52,6 +53,58 @@ DemandRewrite RewriteFor(const Program& program, std::string_view pred,
 // ---------------------------------------------------------------------------
 // PatternForQuery
 // ---------------------------------------------------------------------------
+
+/// DecompositionColumns of the component holding `pred`, by predicate name.
+std::map<std::string, int> ColumnsOf(const Program& program,
+                                     std::string_view pred) {
+  DependencyGraph graph(program);
+  const datalog::PredicateInfo* p = program.FindPredicate(pred);
+  EXPECT_NE(p, nullptr) << pred;
+  std::map<std::string, int> out;
+  if (p == nullptr) return out;
+  const Component& c = graph.components()[graph.ComponentOf(p)];
+  for (const auto& [q, column] : DecompositionColumns(program, c)) {
+    out[q->name] = column;
+  }
+  return out;
+}
+
+TEST(DecompositionTest, PaperProgramsSplitOnTheirFirstKeyColumn) {
+  using Columns = std::map<std::string, int>;
+  EXPECT_EQ(ColumnsOf(MustParse(workloads::kShortestPathProgram), "s"),
+            (Columns{{"path", 0}, {"s", 0}}));
+  EXPECT_EQ(ColumnsOf(MustParse(workloads::kCompanyControlProgram), "m"),
+            (Columns{{"c", 0}, {"cv", 0}, {"m", 0}}));
+  // Ex. 4.3: kc(X, Y) reads coming(Y), relating keys that differ.
+  EXPECT_TRUE(ColumnsOf(MustParse(workloads::kPartyProgram), "coming").empty());
+}
+
+TEST(DecompositionTest, LaterColumnsAreTried) {
+  // Right-linear closure keeps the target fixed, not the source.
+  EXPECT_EQ(ColumnsOf(MustParse(".decl e(a, b)\n.decl t(a, b)\n"
+                                "t(X, Y) :- e(X, Y).\n"
+                                "t(X, Y) :- e(X, Z), t(Z, Y).\n"),
+                      "t"),
+            (std::map<std::string, int>{{"t", 1}}));
+}
+
+TEST(DecompositionTest, RulesRelatingDifferentKeysDoNotSplit) {
+  const char* decls =
+      ".decl e(a, b)\n.decl t(a, b)\nt(X, Y) :- e(X, Y).\n";
+  for (const char* rule : {
+           // Non-linear closure joins two partitions.
+           "t(X, Y) :- t(X, Z), t(Z, Y).\n",
+           // A constant at the partition column, and no other column fits.
+           "t(a, Y) :- t(X, Z), e(Z, Y).\n",
+           // The head's variable sits elsewhere in the body atom.
+           "t(X, Y) :- t(Y, X).\n",
+           // An aggregate counting another key's group.
+           "t(X, Y) :- e(X, Y), N = count : t(Y, Z), N > 1.\n",
+       }) {
+    SCOPED_TRACE(rule);
+    EXPECT_TRUE(ColumnsOf(MustParse(std::string(decls) + rule), "t").empty());
+  }
+}
 
 TEST(DemandPatternTest, ConstantsAreBoundVariablesFree) {
   Program program = MustParse(workloads::kShortestPathProgram);

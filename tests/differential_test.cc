@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "analysis/admissibility.h"
+#include "analysis/demand/demand.h"
 #include "core/engine.h"
 #include "differential_corpus.h"
 
@@ -103,6 +104,53 @@ void ExpectRun(const Instance& in, const EvalOptions& options) {
   ASSERT_TRUE(run.ok()) << in.label << " " << Describe(options) << ": "
                         << run.status();
   ExpectOracleModel(in, *run, Describe(options), /*full_run=*/true);
+}
+
+/// The families whose programs decompose (Ex. 2.6 on the source of
+/// path/s, Ex. 2.7 on the owner of cv/m/c).
+bool FamilyPartitions(Family f) {
+  return f == Family::kShortestPath || f == Family::kOwnership;
+}
+
+/// Runs `in` at `threads` like ExpectRun and checks that partitioned
+/// evaluation engaged exactly where it should: a component runs as
+/// `threads` partitions when it is recursive and decomposes, serially
+/// otherwise, and every instance of a decomposing family ran partitioned.
+/// Returns true when a partitioned component had fewer distinct keys in
+/// its partition column than there were partitions, so some partition ran
+/// empty.
+bool ExpectPartitionedRun(const Instance& in, int threads) {
+  const EvalOptions options = Opts(threads);
+  Engine engine(*in.program, options);
+  auto run = engine.Run(in.Edb());
+  EXPECT_TRUE(run.ok()) << in.label << " " << Describe(options) << ": "
+                        << run.status();
+  if (!run.ok()) return false;
+  ExpectOracleModel(in, *run, Describe(options), /*full_run=*/true);
+  bool partitioned = false;
+  bool sparse = false;
+  for (const analysis::Component& c : engine.graph().components()) {
+    if (c.rule_indices.empty()) continue;
+    const std::map<const datalog::PredicateInfo*, int> columns =
+        analysis::demand::DecompositionColumns(*in.program, c);
+    const bool splits = c.recursive && !columns.empty();
+    EXPECT_EQ(run->component_stats[c.index].partitions, splits ? threads : 1)
+        << in.label << " component " << c.index << " " << Describe(options);
+    if (!splits) continue;
+    partitioned = true;
+    std::set<Value> keys;
+    for (const auto& [pred, column] : columns) {
+      const datalog::Relation* rel = run->db.Find(pred);
+      for (size_t row = 0; rel != nullptr && row < rel->size(); ++row) {
+        keys.insert(rel->key_at(row)[column]);
+      }
+    }
+    sparse = sparse || static_cast<int>(keys.size()) < threads;
+  }
+  if (FamilyPartitions(in.family)) {
+    EXPECT_TRUE(partitioned) << in.label << ": never ran partitioned";
+  }
+  return sparse;
 }
 
 enum class Feed { kBulk, kTrickled };
@@ -242,27 +290,48 @@ constexpr int kWidths[] = {2, 3, 4, 8, 16};
 struct Axis {
   const char* name;
   bool needs_updates;  ///< only instances that TakesUpdates
-  void (*check)(const Instance&);
+  /// Checks one instance; true when it ran more partitions than keys.
+  bool (*check)(const Instance&);
+  /// Some instance of a partitioning family must run more partitions than
+  /// it has keys.
+  bool needs_empty_partition = false;
 };
 
 // Every equivalence the gate checks. Adding an axis is one entry here.
 const Axis kAxes[] = {
-    {"PlannedT1", false, [](const Instance& in) { ExpectRun(in, Opts(1)); }},
-    {"PlannedT8", false, [](const Instance& in) { ExpectRun(in, Opts(8)); }},
+    {"PlannedT1", false, [](const Instance& in) {
+       ExpectRun(in, Opts(1));
+       return false;
+     }},
+    {"PlannedT8", false,
+     [](const Instance& in) { return ExpectPartitionedRun(in, 8); }},
     {"Naive", false,
      [](const Instance& in) {
        ExpectRun(in, Opts(1, kPlanned, Strategy::kNaive));
+       return false;
      }},
-    // Instance i runs at width kWidths[i % 5]: every width sees every family.
+    // Instance i runs at width kWidths[i % 5]: every width sees every family,
+    // and the small instances have fewer keys than 16 partitions.
     {"Widths", false,
      [](const Instance& in) {
-       ExpectRun(in, Opts(kWidths[in.index % std::size(kWidths)]));
-     }},
+       const int width = kWidths[in.index % std::size(kWidths)];
+       return ExpectPartitionedRun(in, width) && width == 16;
+     },
+     /*needs_empty_partition=*/true},
     {"BulkUpdate", true,
-     [](const Instance& in) { ExpectUpdate(in, Feed::kBulk); }},
+     [](const Instance& in) {
+       ExpectUpdate(in, Feed::kBulk);
+       return false;
+     }},
     {"TrickledUpdate", true,
-     [](const Instance& in) { ExpectUpdate(in, Feed::kTrickled); }},
-    {"Demand", false, ExpectDemand},
+     [](const Instance& in) {
+       ExpectUpdate(in, Feed::kTrickled);
+       return false;
+     }},
+    {"Demand", false, [](const Instance& in) {
+       ExpectDemand(in);
+       return false;
+     }},
 };
 
 class DifferentialTest
@@ -273,12 +342,17 @@ TEST_P(DifferentialTest, MatchesOracle) {
   const Family family = std::get<1>(GetParam());
   const std::vector<Instance>& instances = CorpusFor(family);
   size_t outside = 0;
+  size_t with_empty_partition = 0;
   for (const Instance& in : instances) {
     if (axis.needs_updates && !TakesUpdates(in)) {
       ++outside;
       continue;
     }
-    axis.check(in);
+    if (axis.check(in)) ++with_empty_partition;
+  }
+  if (axis.needs_empty_partition && FamilyPartitions(family)) {
+    EXPECT_GT(with_empty_partition, 0u)
+        << axis.name << ": no instance had fewer keys than partitions";
   }
   const bool takes_family = !axis.needs_updates || FamilyTakesUpdates(family);
   EXPECT_EQ(outside, takes_family ? 0 : instances.size())

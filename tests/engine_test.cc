@@ -28,6 +28,22 @@ std::optional<double> Cost(const ParsedRun& run, const char* pred,
   return v->AsDouble();
 }
 
+// The partition count is bounded before any pool exists: constructing an
+// engine spawns no thread, so the clamp is checked on its options.
+TEST(EngineTest, ThreadCountIsClampedToTheCap) {
+  EXPECT_EQ(EffectiveThreads(-3), 1);
+  EXPECT_EQ(EffectiveThreads(0), 1);
+  EXPECT_EQ(EffectiveThreads(4), 4);
+  EXPECT_EQ(EffectiveThreads(kMaxThreads), kMaxThreads);
+  EXPECT_EQ(EffectiveThreads(kMaxThreads + 1), kMaxThreads);
+  EXPECT_EQ(EffectiveThreads(1000000), kMaxThreads);
+  auto program = datalog::ParseProgram(workloads::kShortestPathProgram);
+  ASSERT_TRUE(program.ok()) << program.status();
+  EvalOptions options;
+  options.num_threads = 1000000;
+  EXPECT_EQ(Engine(*program, options).options().num_threads, kMaxThreads);
+}
+
 TEST(EngineTest, Example31MinimalModelExactly) {
   std::string text = std::string(workloads::kShortestPathProgram) +
                      "arc(a, b, 1).\narc(b, b, 0).\n";

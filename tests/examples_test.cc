@@ -101,26 +101,44 @@ TEST(ExamplesTest, GradesMdl) {
 
 // A malformed or out-of-range numeric flag is a usage error (exit 2 and the
 // usage text), not an uncaught std::stol exception.
+/// Runs `binary` (under build/examples) with `args` and expects the usage
+/// text and exit status 2.
+void ExpectUsageExit(const std::string& binary, const std::string& args) {
+  const std::string command = std::string(MAD_BINARY_DIR) + "/examples/" +
+                              binary + " " + args + " 2>&1";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buf[256];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
+    output.append(buf, n);
+  }
+  const int status = ::pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << args << ": " << output;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << args << ": " << output;
+  EXPECT_NE(output.find("usage: " + binary), std::string::npos) << args;
+}
+
 TEST(ExamplesTest, MondlRejectsMalformedNumericFlags) {
-  const std::string mondl = std::string(MAD_BINARY_DIR) + "/examples/mondl";
   const std::string program =
       std::string(MAD_SOURCE_DIR) + "/examples/shortest_path.mdl";
   for (const char* flag :
        {"--threads=x", "--threads=4x", "--threads=99999999999",
         "--max-iterations=99999999999999999999", "--epsilon=e"}) {
-    const std::string command = mondl + " " + flag + " " + program + " 2>&1";
-    FILE* pipe = ::popen(command.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string output;
-    char buf[256];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) {
-      output.append(buf, n);
-    }
-    const int status = ::pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status)) << flag << ": " << output;
-    EXPECT_EQ(WEXITSTATUS(status), 2) << flag << ": " << output;
-    EXPECT_NE(output.find("usage: mondl"), std::string::npos) << flag;
+    ExpectUsageExit("mondl", std::string(flag) + " " + program);
+  }
+}
+
+// A thread count above core::kMaxThreads is a typo, not a request for that
+// many OS threads: both CLIs reject it before evaluating anything.
+TEST(ExamplesTest, ThreadCountsAboveTheCapAreRejected) {
+  const std::string program =
+      std::string(MAD_SOURCE_DIR) + "/examples/shortest_path.mdl";
+  for (int threads : {core::kMaxThreads + 1, 1000000}) {
+    const std::string flag = "--threads=" + std::to_string(threads);
+    ExpectUsageExit("mondl", flag + " " + program);
+    ExpectUsageExit("madd", "--port=0 " + flag + " " + program);
   }
 }
 

@@ -1,12 +1,15 @@
-// Parallel evaluation under aggressive resource limits: a tripped deadline or
-// cancellation mid-fan-out must still wind the pool down cleanly and return a
-// *certified* partial model — Completeness::kUnderApproximation with every
-// relation ⊑-below the serial least model (x ⊑ y iff Join(x, y) == y). The
-// prefix-soundness argument is thread-count independent: partial merge batches
-// commute, so any interrupted parallel prefix is some ⊑-below database.
+// Partitioned evaluation under aggressive resource limits: a tripped
+// deadline, budget or cancellation must still wind every partition down
+// cleanly and return a *certified* partial model —
+// Completeness::kUnderApproximation with every relation ⊑-below the serial
+// least model (x ⊑ y iff Join(x, y) == y). The prefix-soundness argument is
+// thread-count independent: each partition stops at a prefix of its own
+// fixpoint, and the join of those prefixes is a ⊑-below database. The
+// budgets themselves count the whole evaluation, not one partition.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -171,6 +174,51 @@ TEST(ParallelStressTest, RepeatedGovernedRunsStayCertified) {
                   ParallelWithLimits(ResourceLimits::Deadline(deadline)));
     auto run = engine.Run(w.edb.Clone());
     CheckGovernedRun(w, run, LimitKind::kDeadline);
+  }
+}
+
+// The memory budget is charged with every partition's private relations
+// plus the shared ones once: were each partition to charge only its own
+// database, eight partitions would each stay under a budget their sum
+// exceeds, and the run would finish unbounded.
+TEST(ParallelStressTest, MemoryBudgetYieldsCertifiedPartialModel) {
+  const StressWorkload& w = StressWorkload::Get();
+
+  ResourceLimits limits;
+  limits.max_memory_bytes = w.full_db.ApproxBytes() / 2;
+  Engine engine(w.program, ParallelWithLimits(limits));
+  auto run = engine.Run(w.edb.Clone());
+  EXPECT_TRUE(CheckGovernedRun(w, run, LimitKind::kMemoryBudget));
+  if (run.ok()) EXPECT_EQ(run->stats.partitions, 8);
+}
+
+// A component's rounds are the most any partition runs, not their sum: caps
+// set to the serial run's rounds let the partitioned run finish, and one
+// round less stops it.
+TEST(ParallelStressTest, RoundCapsCountTheComponentsRounds) {
+  const StressWorkload& w = StressWorkload::Get();
+  auto serial = Engine(w.program).Run(w.edb.Clone());
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  int64_t most = 0;
+  for (const EvalStats& c : serial->component_stats) {
+    most = std::max(most, c.iterations);
+  }
+  ResourceLimits limits;
+  limits.max_rounds_per_component = most;
+  limits.max_total_rounds = serial->stats.iterations;
+  auto run = Engine(w.program, ParallelWithLimits(limits)).Run(w.edb.Clone());
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->completeness, Completeness::kLeastModel);
+  EXPECT_EQ(run->stats.iterations, serial->stats.iterations);
+  EXPECT_EQ(run->db.ToString(), w.full_model);
+
+  ResourceLimits per_component = limits;
+  per_component.max_rounds_per_component = most - 1;
+  ResourceLimits total = limits;
+  total.max_total_rounds = serial->stats.iterations - 1;
+  for (const ResourceLimits& tight : {per_component, total}) {
+    auto cut = Engine(w.program, ParallelWithLimits(tight)).Run(w.edb.Clone());
+    EXPECT_TRUE(CheckGovernedRun(w, cut, LimitKind::kRoundCap));
   }
 }
 

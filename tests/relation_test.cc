@@ -6,13 +6,15 @@
 // and ForEachMatchingRow over every bound-position subset (row order as well
 // as row sets), lazily extended secondary indexes, empty relations,
 // 0-arity / cost-free / set-cost predicates, copy-on-write snapshots whose
-// writer diverges, ApproxBytes monotonicity, and concurrent readers of
-// forced indexes.
+// writer diverges, ApproxBytes monotonicity, disjoint appends against a
+// twin built by Merge, and concurrent readers building indexes lazily.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "datalog/database.h"
@@ -308,14 +310,21 @@ TEST_P(RelationModelTest, SnapshotWriterDiverges) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RelationModelTest, ::testing::Range(1, 6));
 
-TEST(RelationEdgeTest, EmptyRelationScansAndForcedIndexes) {
+/// One scan of `positions` (any values): builds or extends its index the
+/// way the evaluator's probes do.
+void ScanOnce(const Relation& rel, const std::vector<int>& positions) {
+  const Tuple vals(positions.size(), Value::Int(0));
+  rel.ForEachMatchingRow(positions, vals.data(), [](size_t) {});
+}
+
+TEST(RelationEdgeTest, EmptyRelationScansAndBuildsIndexes) {
   Program p = Decls();
   const PredicateInfo* pred = p.FindPredicate("p3");
   Relation rel(pred);
   Model m(pred);
   Random rng(7);
   for (const std::vector<int>& positions : AllPatterns(3)) {
-    rel.ForceIndex(positions);
+    ScanOnce(rel, positions);
     CheckScan(rel, m, positions, Project(RandomKey(pred, &rng), positions));
   }
   EXPECT_EQ(rel.Find(RandomKey(pred, &rng)), nullptr);
@@ -340,10 +349,10 @@ TEST(RelationEdgeTest, IndexExtendsOverAppendedRows) {
     // A complete index is reused; a missing or stale one is built or
     // extended, which does not count as a reuse.
     const int64_t reuses = rel.index_reuses();
-    rel.ForceIndex(positions);
+    ScanOnce(rel, positions);
     const bool stale = round == 0 || rel.size() != before;
     EXPECT_EQ(rel.index_reuses(), stale ? reuses : reuses + 1);
-    rel.ForceIndex(positions);
+    ScanOnce(rel, positions);
     EXPECT_EQ(rel.index_reuses(), stale ? reuses + 1 : reuses + 2);
     for (int i = 0; i < 5; ++i) {
       CheckScan(rel, m, positions,
@@ -360,9 +369,13 @@ TEST(RelationEdgeTest, WrongArityProbesMiss) {
   EXPECT_EQ(rel.Find({}), nullptr);
 }
 
-// The build-once-then-read contract the parallel evaluator relies on: once
-// the round's patterns are forced, many threads may scan concurrently.
-TEST(RelationConcurrencyTest, ForcedIndexesServeConcurrentReaders) {
+// The build-once-then-read contract the partitioned evaluator relies on for
+// the lower relations its partitions share: many threads scan a relation
+// that no longer grows, the first scan of each pattern builds its index
+// lazily while others wait or read, and every scan sees the whole relation.
+// The reuse count does not depend on the interleaving: every scan but the
+// one that built its pattern's index is a reuse.
+TEST(RelationConcurrencyTest, LazyIndexesServeConcurrentReaders) {
   Program p = Decls();
   const PredicateInfo* pred = p.FindPredicate("p3");
   Relation rel(pred);
@@ -382,8 +395,9 @@ TEST(RelationConcurrencyTest, ForcedIndexesServeConcurrentReaders) {
     std::vector<uint32_t> want;
   };
   std::vector<Probe> probes;
+  int64_t indexed_patterns = 0;
   for (const std::vector<int>& positions : patterns) {
-    rel.ForceIndex(positions);
+    if (!positions.empty() && positions.size() < 3) ++indexed_patterns;
     for (int i = 0; i < 6; ++i) {
       Tuple vals = Project(m.key(rng.Uniform(0, m.size() - 1)), positions);
       probes.push_back({&positions, vals, m.Matching(positions, vals)});
@@ -408,7 +422,88 @@ TEST(RelationConcurrencyTest, ForcedIndexesServeConcurrentReaders) {
   }
   for (std::thread& r : readers) r.join();
   for (int t = 0; t < 8; ++t) EXPECT_EQ(mismatches[t], 0) << "reader " << t;
+  // 8 readers x 20 reps x 6 probes per indexed pattern x 2 scans each.
+  const int64_t indexed_scans = 8 * 20 * 6 * 2 * indexed_patterns;
+  EXPECT_EQ(rel.index_reuses(), indexed_scans - indexed_patterns);
 }
+
+// Relation::AppendDisjoint joins hash partitions of one relation. After the
+// append, the relation must be indistinguishable from a twin that merged the
+// same rows in the same order: rows, point lookups, scans over every
+// pattern in ascending row order — including through an index built before
+// the append — and the bytes it accounts.
+class RelationAppendTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(RelationAppendTest, MatchesMergedTwin) {
+  Program p = Decls();
+  const PredicateInfo* pred = p.FindPredicate(std::get<0>(GetParam()));
+  ASSERT_NE(pred, nullptr);
+  Random rng(std::get<1>(GetParam()));
+  // Two partitions on the first key column (all of the key when it has
+  // none); the second may stay empty.
+  Relation first(pred), second(pred);
+  for (int i = 0; i < 300; ++i) {
+    Tuple key = RandomKey(pred, &rng);
+    const size_t hash = key.empty() ? 0 : key[0].Hash();
+    (hash % 2 == 0 ? first : second).Merge(key, RandomCost(pred, &rng));
+  }
+  Relation twin(pred);
+  Model m(pred);
+  for (const Relation* part : {&first, &second}) {
+    for (size_t r = 0; r < part->size(); ++r) {
+      uint32_t row = 0;
+      twin.Merge(part->key_at(r), part->cost_at(r));
+      m.Merge(part->key_at(r), part->cost_at(r), &row);
+    }
+  }
+  // An index that exists before the append, on both relations.
+  const std::vector<int> early =
+      pred->key_arity() > 1 ? std::vector<int>{0} : std::vector<int>{};
+  ScanOnce(first, early);
+  ScanOnce(second, early);
+  ScanOnce(twin, early);
+  const int64_t reuses = first.index_reuses() + second.index_reuses();
+
+  first.AppendDisjoint(second);
+  EXPECT_EQ(first.index_reuses(), reuses);
+  CheckAll(first, m, &rng);
+  CheckAll(twin, m, &rng);
+  // Same rows, same index coverage: a copy (which recounts from exact
+  // capacities) reports the same bytes, and the incremental figure lies
+  // between that and the twin's, whose arrays grew by doubling.
+  EXPECT_EQ(Relation(first).ApproxBytes(), Relation(twin).ApproxBytes());
+  EXPECT_GE(first.ApproxBytes(), Relation(first).ApproxBytes());
+  EXPECT_LE(first.ApproxBytes(), twin.ApproxBytes());
+  // Merges after the append still find, raise and extend as in the twin.
+  MergeAndCheck(&first, &m, &rng, 60);
+}
+
+TEST(RelationAppendEdgeTest, EmptySidesAreNoOps) {
+  Program p = Decls();
+  const PredicateInfo* pred = p.FindPredicate("p3");
+  Random rng(12);
+  Relation empty(pred), rel(pred);
+  Model m(pred);
+  MergeAndCheck(&rel, &m, &rng, 50);
+  const int64_t bytes = rel.ApproxBytes();
+  rel.AppendDisjoint(empty);
+  EXPECT_EQ(rel.ApproxBytes(), bytes);
+  CheckAll(rel, m, &rng);
+  Relation target(pred);
+  target.AppendDisjoint(rel);
+  CheckAll(target, m, &rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RelationAppendTest,
+    ::testing::Combine(::testing::Values(std::string("p3"), std::string("e3"),
+                                         std::string("su")),
+                       ::testing::Range(1, 4)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace datalog

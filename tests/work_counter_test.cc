@@ -1,6 +1,7 @@
-// Pins the exact work counters of two paper fixpoints on seeded inputs:
-// Ex. 2.6 (shortest paths, recursion through min) and Ex. 2.7 (company
-// control, recursion through sum). The counters are deterministic for a
+// Pins the exact work counters of three paper fixpoints on seeded inputs:
+// Ex. 2.6 (shortest paths, recursion through min), Ex. 2.7 (company
+// control, recursion through sum) and Ex. 4.3 (party, recursion through
+// count), serially and at four threads. The counters are deterministic for a
 // given schedule, so a storage or executor change that silently reorders
 // evaluation, or does more or less work, fails here rather than only in a
 // benchmark run. If a change alters the schedule on purpose, re-derive the
@@ -20,8 +21,7 @@
 namespace mad {
 namespace {
 
-/// The EvalStats work counters, as recorded before the flat relation storage
-/// landed (which left all of them unchanged).
+/// The EvalStats work counters.
 struct Counters {
   int64_t derivations;
   int64_t merges_new;
@@ -40,28 +40,6 @@ void ExpectCounters(const core::EvalStats& got, const Counters& want) {
   EXPECT_EQ(got.rule_evaluations, want.rule_evaluations);
   EXPECT_EQ(got.subgoal_evals, want.subgoal_evals);
   EXPECT_EQ(got.index_reuses, want.index_reuses);
-}
-
-/// The counters that cannot depend on the order in which a round's
-/// derivations are merged. merges_increased can: with a pool, shard owners
-/// visit the workers' buffers in participant order, but which worker ran
-/// which item varies from run to run, so whether a key's second derivation
-/// in one round counts as an increase or as unchanged is not fixed.
-struct OrderFreeCounters {
-  int64_t derivations;
-  int64_t merges_new;
-  int64_t iterations;
-  int64_t rule_evaluations;
-  int64_t subgoal_evals;
-};
-
-void ExpectOrderFreeCounters(const core::EvalStats& got,
-                             const OrderFreeCounters& want) {
-  EXPECT_EQ(got.derivations, want.derivations);
-  EXPECT_EQ(got.merges_new, want.merges_new);
-  EXPECT_EQ(got.iterations, want.iterations);
-  EXPECT_EQ(got.rule_evaluations, want.rule_evaluations);
-  EXPECT_EQ(got.subgoal_evals, want.subgoal_evals);
 }
 
 core::EvalStats RunProgram(const char* text,
@@ -108,8 +86,13 @@ TEST(WorkCounterTest, CompanyControlSmall) {
   ExpectCounters(stats, {1372, 1122, 96, 47, 1222, 1287, 770});
 }
 
-// The phased schedule: every round fans out over a pool of four on a frozen
-// database, then merges by predicate shard.
+// The partitioned schedule: each program decomposes on its first key column,
+// so four hash partitions run the serial loop side by side. Each partition
+// replays its own keys' serial sequence, so derivations, merges and rounds
+// (the most any partition runs) equal the serial pins above. Rule
+// evaluations and subgoal evaluations add the three extra partitions' round
+// 0, which evaluates every rule once per partition; index reuses count the
+// partitions' own scans.
 TEST(WorkCounterTest, ShortestPathsN64Threads4) {
   Random rng(7);
   baselines::Graph g = workloads::RandomGraph(64, 256, {1.0, 10.0}, &rng);
@@ -119,7 +102,8 @@ TEST(WorkCounterTest, ShortestPathsN64Threads4) {
             return workloads::AddGraphFacts(p, g, db);
           },
           Threads(4));
-  ExpectOrderFreeCounters(stats, {43962, 19723, 20, 27479, 49204});
+  EXPECT_EQ(stats.partitions, 4);
+  ExpectCounters(stats, {43920, 19723, 7564, 19, 27299, 48875, 27513});
 }
 
 TEST(WorkCounterTest, CompanyControlSmallThreads4) {
@@ -132,7 +116,31 @@ TEST(WorkCounterTest, CompanyControlSmallThreads4) {
             return workloads::AddOwnershipFacts(p, net, db);
           },
           Threads(4));
-  ExpectOrderFreeCounters(stats, {1276, 1122, 49, 1222, 1222});
+  EXPECT_EQ(stats.partitions, 4);
+  ExpectCounters(stats, {1372, 1122, 96, 47, 1234, 1299, 728});
+}
+
+// Ex. 4.3 does not decompose — kc(X, Y) reads coming(Y) — so four threads
+// evaluate it serially, with the serial counters.
+core::EvalStats RunParty(int threads) {
+  Random rng(13);
+  workloads::PartyInstance party =
+      workloads::RandomParty(60, 3.0, 4, 0.5, &rng);
+  return RunProgram(workloads::kPartyProgram,
+      [&](const datalog::Program& p, datalog::Database* db) {
+        return workloads::AddPartyFacts(p, party, db);
+      },
+      Threads(threads));
+}
+
+TEST(WorkCounterTest, PartyN60) {
+  ExpectCounters(RunParty(1), {276, 150, 0, 8, 152, 526, 161});
+}
+
+TEST(WorkCounterTest, PartyN60Threads4) {
+  core::EvalStats stats = RunParty(4);
+  EXPECT_EQ(stats.partitions, 1);
+  ExpectCounters(stats, {276, 150, 0, 8, 152, 526, 161});
 }
 
 // Incremental maintenance: one new arc into the Ex. 2.6 n=64 model.
@@ -157,7 +165,7 @@ TEST(WorkCounterTest, ShortestPathsN64UpdateOneArc) {
   auto stats = engine.Update(&result.value(), {arc});
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_TRUE(stats->reached_fixpoint);
-  ExpectOrderFreeCounters(*stats, {1862, 65, 16, 1135, 2064});
+  ExpectCounters(*stats, {1862, 65, 1069, 16, 1135, 2064, 0});
 }
 
 // A fixpoint stopped by max_iterations still reports the subgoal work it
